@@ -6,16 +6,16 @@
 /// and reports the updateable server within a few percent of the static
 /// one; this harness prints the same series for the loopback testbed.
 ///
-/// Two connection modes per build: "one-shot" (HTTP/1.0, a fresh TCP
-/// connection per request — the original path) and "keep-alive"
-/// (persistent HTTP/1.1 connections through the server's zero-copy fast
-/// path).  Output: one row per (mode, reply size) with requests/s and
-/// Mb/s for both pipelines and the relative overhead.
+/// Every point is served by a net::ReactorPool.  Two client modes run
+/// against one worker: "one-shot" (HTTP/1.0, a fresh TCP connection per
+/// request) and "keep-alive" (persistent HTTP/1.1 connections).  Output:
+/// one row per (mode, reply size) with requests/s and Mb/s for both
+/// pipelines and the relative overhead.
 ///
 /// A third section appears with --threads N: the multi-core scaling
-/// matrix.  A net::ReactorPool serves the same workload with 1, 2, ...
-/// up to N workers (SO_REUSEPORT, one port) under a fixed offered load
-/// from concurrent persistent-connection client threads; the report is
+/// matrix.  The same pool serves the workload with 1, 2, ... up to N
+/// workers (SO_REUSEPORT, one port) under a fixed offered load from
+/// concurrent persistent-connection client threads; the report is
 /// aggregate req/s per worker count and the speedup over one worker,
 /// for both the static and the updateable pipeline.
 ///
@@ -29,11 +29,11 @@
 
 #include "flashed/App.h"
 #include "flashed/Client.h"
-#include "flashed/Server.h"
 #include "net/ReactorPool.h"
 #include "support/StringUtil.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -51,69 +51,19 @@ struct RunResult {
   double Mbps = 0;
 };
 
-/// Serves `Requests` GETs of one synthetic document of `Bytes` and
-/// returns the measured rates.  `Static` selects the direct-call
-/// pipeline (the "Flash" baseline); otherwise every stage goes through
-/// the updateable indirection ("FlashEd").  `KeepAlive` selects the
-/// persistent-connection fast path over the one-shot legacy path.
-RunResult runOne(size_t Bytes, uint64_t Requests, bool Static,
-                 bool KeepAlive) {
-  Runtime RT;
-  FlashedApp App(RT);
-  DocStore Docs;
-  Docs.put("/payload.html", syntheticBody(Bytes, Bytes));
-  cantFail(App.init(std::move(Docs)), "flashed init");
-
-  std::unique_ptr<Server> Srv;
-  if (KeepAlive) {
-    Srv = std::make_unique<Server>(
-        [&App, Static](const RequestHead &Head, std::string_view Raw,
-                       std::string &Out, SharedBody &Body) {
-          if (Static)
-            App.handleStaticInto(Head, Raw, Out, Body);
-          else
-            App.handleInto(Head, Raw, Out, Body);
-        });
-  } else {
-    Srv = std::make_unique<Server>([&App, Static](const std::string &Raw) {
-      return Static ? App.handleStatic(Raw) : App.handle(Raw);
-    });
-  }
-  Srv->setIdleHook([&RT] { RT.updatePoint(); });
-  cantFail(Srv->listenOn(0), "listen");
-
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    cantFail(Srv->runUntil([&Stop] { return Stop.load(); }, 2), "serve");
-  });
-
-  auto Load = [&](uint64_t Count) {
-    return KeepAlive
-               ? runLoadKeepAlive(Srv->port(), {"/payload.html"}, Count,
-                                  /*Connections=*/4)
-               : runLoad(Srv->port(), {"/payload.html"}, Count);
-  };
-
-  // Warmup primes the document cache and the connection path.
-  cantFail(Load(32), "warmup");
-  Expected<LoadStats> Stats = Load(Requests);
-  Stop.store(true);
-  Loop.join();
-  LoadStats S = cantFail(std::move(Stats), "load");
-
-  if (S.Failures)
-    std::fprintf(stderr, "warning: %llu failed requests\n",
-                 static_cast<unsigned long long>(S.Failures));
-  return RunResult{S.requestsPerSecond(), S.megabitsPerSecond()};
-}
-
-/// Serves `PerThread * ClientThreads` keep-alive GETs of one `Bytes`
-/// document from a reactor pool of `Workers` and returns the aggregate
-/// rates over wall-clock time.  The offered load (client threads and
+/// Serves `PerThread * ClientThreads` GETs of one `Bytes` document from
+/// a reactor pool of `Workers` and returns the aggregate rates over
+/// wall-clock time.  `Static` selects the direct-call pipeline (the
+/// "Flash" baseline); otherwise every stage goes through the updateable
+/// indirection ("FlashEd").  `KeepAlive` selects persistent HTTP/1.1
+/// clients with `Connections` connections per client thread; otherwise
+/// each request is HTTP/1.0 on a fresh connection, which the server
+/// closes after the response.  The offered load (client threads and
 /// connections) is fixed by the caller across worker counts, so the
-/// speedup column isolates the serving plane.
-RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
-                       unsigned Workers, unsigned ClientThreads) {
+/// scaling table's speedup column isolates the serving plane.
+RunResult runPoint(size_t Bytes, uint64_t PerThread, bool Static,
+                   bool KeepAlive, unsigned Workers, unsigned ClientThreads,
+                   unsigned Connections) {
   Runtime RT;
   FlashedApp App(RT);
   DocStore Docs;
@@ -135,11 +85,14 @@ RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
   Pool.setUpdateRuntime(RT);
   cantFail(Pool.start(), "pool start");
 
+  auto Load = [&](uint64_t Count, unsigned Conns) {
+    return KeepAlive ? runLoadKeepAlive(Pool.port(), {"/payload.html"},
+                                        Count, Conns)
+                     : runLoad(Pool.port(), {"/payload.html"}, Count);
+  };
+
   // Warmup primes the document cache and one connection per worker.
-  Expected<LoadStats> Warm =
-      runLoadKeepAlive(Pool.port(), {"/payload.html"}, 32,
-                       Workers ? Workers : 1);
-  cantFail(std::move(Warm), "warmup");
+  cantFail(Load(32, std::max(Workers, Connections)), "warmup");
 
   std::vector<std::thread> Clients;
   std::vector<LoadStats> PerClient(ClientThreads);
@@ -147,8 +100,7 @@ RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
   Timer Wall;
   for (unsigned T = 0; T != ClientThreads; ++T)
     Clients.emplace_back([&, T] {
-      Expected<LoadStats> S = runLoadKeepAlive(
-          Pool.port(), {"/payload.html"}, PerThread, /*Connections=*/2);
+      Expected<LoadStats> S = Load(PerThread, Connections);
       if (S)
         PerClient[T] = *S;
       else
@@ -166,7 +118,7 @@ RunResult runPoolPoint(size_t Bytes, uint64_t PerThread, bool Static,
     Failures.fetch_add(S.Failures);
   }
   if (Failures.load())
-    std::fprintf(stderr, "warning: %llu failed requests (pool, %u workers)\n",
+    std::fprintf(stderr, "warning: %llu failed requests (%u workers)\n",
                  static_cast<unsigned long long>(Failures.load()), Workers);
   RunResult R;
   R.Rps = Seconds > 0 ? Served / Seconds : 0;
@@ -244,8 +196,11 @@ int main(int argc, char **argv) {
                    "--------+----------\n");
     }
     for (size_t Bytes : Sizes) {
-      RunResult Static = runOne(Bytes, Requests, /*Static=*/true, KeepAlive);
-      RunResult Upd = runOne(Bytes, Requests, /*Static=*/false, KeepAlive);
+      // One worker and one client thread (4 connections when keep-alive).
+      RunResult Static = runPoint(Bytes, Requests, /*Static=*/true,
+                                  KeepAlive, 1, 1, 4);
+      RunResult Upd = runPoint(Bytes, Requests, /*Static=*/false,
+                               KeepAlive, 1, 1, 4);
       double Overhead =
           Static.Rps > 0 ? (Static.Rps - Upd.Rps) / Static.Rps * 100.0 : 0;
       if (Json) {
@@ -296,12 +251,10 @@ int main(int argc, char **argv) {
     double BaseUpd = 0;
     bool FirstScale = true;
     for (unsigned W : Series) {
-      RunResult St =
-          runPoolPoint(ScaleBytes, PerThread, /*Static=*/true, W,
-                       ClientThreads);
-      RunResult Up =
-          runPoolPoint(ScaleBytes, PerThread, /*Static=*/false, W,
-                       ClientThreads);
+      RunResult St = runPoint(ScaleBytes, PerThread, /*Static=*/true,
+                              /*KeepAlive=*/true, W, ClientThreads, 2);
+      RunResult Up = runPoint(ScaleBytes, PerThread, /*Static=*/false,
+                              /*KeepAlive=*/true, W, ClientThreads, 2);
       if (BaseUpd == 0)
         BaseUpd = Up.Rps;
       double Speedup = BaseUpd > 0 ? Up.Rps / BaseUpd : 0;

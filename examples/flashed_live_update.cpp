@@ -1,9 +1,9 @@
 //===- examples/flashed_live_update.cpp - The paper's headline demo -*- C++ -*-//
 ///
 /// \file
-/// FlashEd end to end: an event-driven web server keeps serving while
-/// the full P1..P5 patch series — plus the dlopen'd native P1 variant if
-/// built — is applied through its update point.  This is the PLDI 2001
+/// FlashEd end to end: an event-driven web server (a one-worker
+/// net::ReactorPool) keeps serving while the full P1..P5 patch series is
+/// applied at the worker's update point.  This is the PLDI 2001
 /// evaluation scenario in one binary: every request before, during and
 /// after each update is answered; behaviour changes between requests,
 /// never within one.
@@ -13,10 +13,9 @@
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/Patches.h"
-#include "flashed/Server.h"
+#include "net/ReactorPool.h"
 #include "runtime/UpdateController.h"
 
-#include <atomic>
 #include <cstdio>
 #include <thread>
 
@@ -49,21 +48,21 @@ int main() {
   Docs.put("/style.css", "h1 { color: teal }");
   cantFail(App.init(std::move(Docs)), "init");
 
-  Server Srv([&App](const std::string &Raw) { return App.handle(Raw); });
-  Srv.setIdleHook([&RT] { RT.updatePoint(); }); // FlashEd's update point
-  cantFail(Srv.listenOn(0), "listen");
-  std::printf("FlashEd serving on 127.0.0.1:%u\n\n", Srv.port());
-
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    cantFail(Srv.runUntil([&Stop] { return Stop.load(); }, 2), "serve");
+  net::ReactorPool Pool([&App](const RequestHead &Head, std::string_view Raw,
+                              std::string &Out, SharedBody &Body) {
+    App.handleInto(Head, Raw, Out, Body);
   });
+  // The worker's idle point, between requests, is FlashEd's update point.
+  Pool.setUpdateRuntime(RT);
+  cantFail(Pool.start(), "listen");
+  const uint16_t Port = Pool.port();
+  std::printf("FlashEd serving on 127.0.0.1:%u\n\n", Port);
 
   auto applyAndWait = [&](Expected<Patch> P, const char *Name) {
     Patch Patch = cantFail(std::move(P), Name);
     unsigned Want = RT.updatesApplied() + 1;
-    // Stage asynchronously on the controller's worker; the server's
-    // idle hook commits at its next (quiescent) update point.
+    // Stage asynchronously on the controller's worker; the reactor
+    // worker commits at its next (quiescent) update point.
     RT.controller().stagePatch(std::move(Patch));
     while (RT.updatesApplied() < Want)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -78,22 +77,22 @@ int main() {
   };
 
   std::printf("-- version 1 behaviour\n");
-  show("works", Srv.port(), "/index.html");
-  show("v1 bug: query string defeats lookup", Srv.port(),
+  show("works", Port, "/index.html");
+  show("v1 bug: query string defeats lookup", Port,
        "/paper.html?ref=pldi01");
-  show("v1: css is octet-stream", Srv.port(), "/style.css");
+  show("v1: css is octet-stream", Port, "/style.css");
 
   applyAndWait(makePatchP1(App), "P1");
-  show("query strings fixed, server never stopped", Srv.port(),
+  show("query strings fixed, server never stopped", Port,
        "/paper.html?ref=pldi01");
 
   applyAndWait(makePatchP2(App), "P2");
-  show("css typed properly now", Srv.port(), "/style.css");
+  show("css typed properly now", Port, "/style.css");
 
   // Warm the cache, then migrate its representation live.
-  show("warming cache", Srv.port(), "/paper.html");
+  show("warming cache", Port, "/paper.html");
   applyAndWait(makePatchP3(App), "P3");
-  show("served from the *migrated* cache", Srv.port(), "/paper.html");
+  show("served from the *migrated* cache", Port, "/paper.html");
   {
     auto Stats = cantFail(bindUpdateable<std::string()>(
                               RT.updateables(), RT.types(),
@@ -104,7 +103,7 @@ int main() {
 
   applyAndWait(makePatchP4(App), "P4");
   applyAndWait(makePatchP5(App), "P5");
-  show("still serving after 5 live updates", Srv.port(), "/index.html");
+  show("still serving after 5 live updates", Port, "/index.html");
   {
     auto Count = cantFail(bindUpdateable<int64_t()>(RT.updateables(),
                                                     RT.types(),
@@ -120,8 +119,7 @@ int main() {
   }
 
   std::printf("\ntotal requests served across all versions: %llu\n",
-              static_cast<unsigned long long>(Srv.requestsServed()));
-  Stop.store(true);
-  Loop.join();
+              static_cast<unsigned long long>(Pool.requestsServed()));
+  Pool.stop();
   return 0;
 }

@@ -15,7 +15,10 @@
 #include "vtal/native/NativeImage.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 using namespace dsu;
 using namespace dsu::flashed;
@@ -539,6 +542,8 @@ void appendRolloutJson(std::string &J, const RolloutRecord &R) {
   J += '}';
 }
 
+/// The value of \p Key in \p Target's query string.  An absent key
+/// yields a null view (data() == nullptr); "key=" yields an empty one.
 std::string_view queryParam(std::string_view Target, std::string_view Key) {
   size_t Q = Target.find('?');
   if (Q == std::string_view::npos)
@@ -555,6 +560,20 @@ std::string_view queryParam(std::string_view Target, std::string_view Key) {
     Qs.remove_prefix(Amp + 1);
   }
   return {};
+}
+
+/// Parses all of \p S as a finite decimal number ("0.05", "-1", "1e3");
+/// rejects hex, "nan", "inf" and anything that overflows to infinity.
+bool parseFiniteDecimal(std::string_view S, double &Out) {
+  if (S.empty() || S.find_first_not_of("0123456789+-.eE") != S.npos)
+    return false;
+  std::string Str(S);
+  char *End = nullptr;
+  double D = std::strtod(Str.c_str(), &End);
+  if (End != Str.c_str() + Str.size() || !std::isfinite(D))
+    return false;
+  Out = D;
+  return true;
 }
 
 } // namespace
@@ -599,7 +618,7 @@ void FlashedApp::handleAdmin(const RequestHead &Head, std::string_view Raw,
     if (Body.empty())
       return Respond(400, "{\"error\": \"empty patch artifact\"}");
     // Staging (parse, verify, link prepare, state build) happens on the
-    // controller's worker; the commit lands at the server's idle hook.
+    // controller's worker; the commit lands at a pool worker's idle point.
     StagedUpdate U = Admin->stageArtifactText(std::string(Body),
                                               "POST /admin/patches");
     return Respond(202, formatString(
@@ -818,24 +837,47 @@ void FlashedApp::handleAdmin(const RequestHead &Head, std::string_view Raw,
                                     : std::string_view();
     if (Body.empty())
       return Respond(400, "{\"error\": \"empty patch artifact\"}");
+    // A present parameter must parse in full, or nothing is staged: a
+    // gate read from "nan" never trips, and a typo must not fall back
+    // to a default silently.
     RolloutOptions O;
-    uint64_t V;
-    if (parseUInt(queryParam(Target, "canary_workers"), V))
-      O.CanaryWorkers = static_cast<unsigned>(V);
-    if (parseUInt(queryParam(Target, "window_ms"), V))
-      O.WindowMs = V;
-    if (parseUInt(queryParam(Target, "min_samples"), V))
-      O.MinSamples = V;
-    if (parseUInt(queryParam(Target, "max_canary_traps"), V))
-      O.MaxCanaryTraps = V;
-    if (parseUInt(queryParam(Target, "stage_timeout_ms"), V))
-      O.StageTimeoutMs = V;
-    std::string_view Delta = queryParam(Target, "max_error_delta");
-    if (!Delta.empty())
-      O.MaxErrorDelta = atof(std::string(Delta).c_str());
-    std::string_view Lat = queryParam(Target, "max_latency_delta_us");
-    if (!Lat.empty())
-      O.MaxLatencyDeltaUs = atof(std::string(Lat).c_str());
+    const char *Bad = nullptr;
+    auto UInt = [&](const char *Name, auto &Field) {
+      using T = std::decay_t<decltype(Field)>;
+      std::string_view V = queryParam(Target, Name);
+      uint64_t X = 0;
+      if (Bad || !V.data())
+        return;
+      if (parseUInt(V, X) && X <= std::numeric_limits<T>::max())
+        Field = static_cast<T>(X);
+      else
+        Bad = Name;
+    };
+    auto Real = [&](const char *Name, double &Field, double Min) {
+      std::string_view V = queryParam(Target, Name);
+      double X = 0;
+      if (Bad || !V.data())
+        return;
+      if (parseFiniteDecimal(V, X) && X >= Min)
+        Field = X;
+      else
+        Bad = Name;
+    };
+    UInt("canary_workers", O.CanaryWorkers);
+    UInt("window_ms", O.WindowMs);
+    UInt("min_samples", O.MinSamples);
+    UInt("max_canary_traps", O.MaxCanaryTraps);
+    UInt("stage_timeout_ms", O.StageTimeoutMs);
+    // A negative error delta would trip on every canary; a negative
+    // latency delta is the documented "gate off".
+    Real("max_error_delta", O.MaxErrorDelta, 0.0);
+    Real("max_latency_delta_us", O.MaxLatencyDeltaUs,
+         std::numeric_limits<double>::lowest());
+    if (Bad)
+      return Respond(400, formatString("{\"error\": \"invalid query "
+                                       "parameter '%s'\", \"param\": "
+                                       "\"%s\"}",
+                                       Bad, Bad));
     Expected<uint64_t> Id = rollouts().startArtifactText(
         std::string(Body), "POST /admin/rollout", O);
     if (!Id) {

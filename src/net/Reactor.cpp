@@ -66,11 +66,11 @@ void Reactor::close() {
 Error Reactor::open(const ReactorOptions &O) {
   if (ListenFd >= 0)
     return Error::make(ErrorCode::EC_IO,
-                       "listenOn: server is already listening on port %u",
+                       "open: reactor is already listening on port %u",
                        BoundPort);
   // A completed graceful drain closes only the listener and the
   // connections; reclaim the epoll/wake fds (and reset drain state)
-  // before building new ones, or a stop()-then-listenOn() cycle leaks
+  // before building new ones, or a requestStop()-then-open() cycle leaks
   // two fds per iteration.
   if (EpollFd >= 0 || WakeFd >= 0)
     close();
@@ -259,8 +259,8 @@ void Reactor::closeConn(Conn *C) {
 namespace {
 
 /// Status code of the response serialized at \p At in \p Out ("HTTP/1.1
-/// NNN ..."), or 0 when the bytes there are not a status line (raw
-/// handlers may emit anything).
+/// NNN ..."), or 0 when the bytes there are not a status line (a handler
+/// may emit anything).
 int responseStatusAt(const std::string &Out, size_t At) {
   if (Out.size() < At + 12 || Out.compare(At, 5, "HTTP/") != 0)
     return 0;
@@ -283,24 +283,18 @@ void Reactor::serveOne(Conn *C, const RequestHead &Head,
                        std::string_view Raw) {
   assert(!C->hasPendingOutput() && "serving while output is pending");
   Stats.noteRequest();
-  if (Fast) {
-    // Time the handler and classify its response so per-worker health
-    // (5xx rate, mean serve latency) is attributable to this worker —
-    // the signals a canary rollout's gates compare across workers.
-    size_t Pre = C->Out.size();
-    auto T0 = std::chrono::steady_clock::now();
-    Fast(Head, Raw, C->Out, C->Tail);
-    auto Us = std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count();
-    int Status = responseStatusAt(C->Out, Pre);
-    Stats.noteServe(static_cast<uint64_t>(Us), Status >= 500);
-    C->CloseAfter = Head.Malformed || !Head.KeepAlive;
-  } else {
-    // Legacy one-shot handler: string in, string out, close after.
-    C->Out += Handle(std::string(Raw));
-    C->CloseAfter = true;
-  }
+  // Time the handler and classify its response so per-worker health
+  // (5xx rate, mean serve latency) is attributable to this worker — the
+  // signals a canary rollout's gates compare across workers.
+  size_t Pre = C->Out.size();
+  auto T0 = std::chrono::steady_clock::now();
+  Fast(Head, Raw, C->Out, C->Tail);
+  auto Us = std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - T0)
+                .count();
+  int Status = responseStatusAt(C->Out, Pre);
+  Stats.noteServe(static_cast<uint64_t>(Us), Status >= 500);
+  C->CloseAfter = Head.Malformed || !Head.KeepAlive;
 }
 
 bool Reactor::flushOutput(Conn *C) {
@@ -448,7 +442,7 @@ void Reactor::beginDrain() {
 
 Expected<int> Reactor::pollOnce(int TimeoutMs) {
   if (EpollFd < 0)
-    return Error::make(ErrorCode::EC_IO, "pollOnce before listenOn");
+    return Error::make(ErrorCode::EC_IO, "pollOnce before open");
   if (StopRequested.load(std::memory_order_acquire) && !Draining)
     beginDrain();
   if (Draining && ActiveConns != 0 &&
@@ -463,8 +457,6 @@ Expected<int> Reactor::pollOnce(int TimeoutMs) {
   }
   if (Draining && ActiveConns == 0) {
     DrainDone.store(true, std::memory_order_release);
-    if (Idle)
-      Idle();
     return 0;
   }
   // While draining, poll in short slices so the deadline is honored
@@ -525,16 +517,5 @@ Expected<int> Reactor::pollOnce(int TimeoutMs) {
   PendingRelease.clear();
   if (Draining && ActiveConns == 0)
     DrainDone.store(true, std::memory_order_release);
-  if (Idle)
-    Idle();
   return N;
-}
-
-Error Reactor::runUntil(const std::function<bool()> &Stop, int TimeoutMs) {
-  while (!Stop() && !drainComplete()) {
-    Expected<int> N = pollOnce(TimeoutMs);
-    if (!N)
-      return N.takeError();
-  }
-  return Error::success();
 }

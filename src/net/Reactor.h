@@ -1,21 +1,24 @@
 //===- net/Reactor.h - One epoll event-loop worker ------------*- C++ -*-===//
 ///
 /// \file
-/// A Reactor is one epoll-based, nonblocking HTTP event loop: the
-/// generalization of the single-threaded flashed::Server into a unit a
-/// ReactorPool can replicate per core.  Each reactor owns its own
-/// listening socket (optionally SO_REUSEPORT, so N reactors share one
-/// port and the kernel spreads accepts), its own connection table
-/// reached directly through `epoll_event.data.ptr`, free-listed
-/// connection objects with recycled buffers, and a wakeup eventfd that
-/// lets other threads interrupt epoll_wait — the mechanism the pool's
-/// cross-worker update barrier uses to park a worker promptly.
+/// A Reactor is one epoll-based, nonblocking HTTP event loop: the unit a
+/// ReactorPool replicates per core, in the architectural style of the
+/// Flash web server the PLDI 2001 evaluation retrofits.  Each reactor
+/// owns its own listening socket (optionally SO_REUSEPORT, so N
+/// reactors share one port and the kernel spreads accepts), its own
+/// connection table reached directly through `epoll_event.data.ptr`,
+/// free-listed connection objects with recycled buffers, and a wakeup
+/// eventfd that lets other threads interrupt epoll_wait — the mechanism
+/// the pool's cross-worker update barrier uses to park a worker
+/// promptly.
 ///
 /// The serving hot path is allocation- and lookup-free in steady state;
 /// persistent (HTTP/1.1 keep-alive) connections are drained request by
-/// request, including pipelined requests arriving in one read.  The idle
-/// hook runs once per poll iteration, between requests — the per-worker
-/// update point.
+/// request, including pipelined requests arriving in one read; HTTP/1.0
+/// and "Connection: close" requests close after their response.  The
+/// reactor has no update logic of its own: whoever drives pollOnce()
+/// (a ReactorPool worker) treats the gap between two calls as the
+/// per-worker update point — FlashEd's `update` call in the event loop.
 ///
 /// Shutdown is graceful by default: requestStop() (callable from any
 /// thread) closes the listener, serves every already-buffered pipelined
@@ -48,29 +51,22 @@ namespace net {
 struct ReactorOptions {
   uint16_t Port = 0;     ///< 0 picks an ephemeral port
   bool ReusePort = false; ///< SO_REUSEPORT (pool members share one port)
+  /// Per-connection buffering cap: a client that streams bytes forever
+  /// cannot grow memory without bound.
   size_t MaxRequestBytes = 1 << 20;
 };
 
 /// One epoll event-loop worker.
 class Reactor {
 public:
-  /// Legacy one-shot handler: maps one complete raw request to raw
-  /// response bytes.  Connections served through it close after each
-  /// response (HTTP/1.0 semantics).
-  using Handler = std::function<std::string(const std::string &)>;
-
-  /// Writer-style handler for the persistent-connection fast path.  The
-  /// handler serializes the response head (and any inline body) into
-  /// \p Out — the connection's reusable output buffer — and may set
-  /// \p Body to a shared payload written after \p Out without copying.
+  /// Writer-style request handler.  It serializes the response head
+  /// (and any inline body) into \p Out — the connection's reusable
+  /// output buffer — and may set \p Body to a shared payload written
+  /// after \p Out without copying.
   using FastHandler = std::function<void(
       const flashed::RequestHead &Req, std::string_view Raw,
       std::string &Out, std::shared_ptr<const std::string> &Body)>;
 
-  /// Called once per event-loop iteration (the per-worker update point).
-  using IdleHook = std::function<void()>;
-
-  explicit Reactor(Handler H) : Handle(std::move(H)) {}
   explicit Reactor(FastHandler H) : Fast(std::move(H)) {}
   ~Reactor();
   Reactor(const Reactor &) = delete;
@@ -83,18 +79,9 @@ public:
   /// The bound port (valid after open()).
   uint16_t port() const { return BoundPort; }
 
-  void setIdleHook(IdleHook Hook) { Idle = std::move(Hook); }
-
-  /// Caps per-connection buffering (default 1 MiB); a client that
-  /// streams bytes forever cannot grow memory without bound.
-  void setMaxRequestBytes(size_t Bytes) { MaxRequestBytes = Bytes; }
-
   /// Runs one event-loop iteration with the given poll timeout.
   /// Returns the number of events processed.
   Expected<int> pollOnce(int TimeoutMs);
-
-  /// Loops until \p Stop returns true or a requested drain completes.
-  Error runUntil(const std::function<bool()> &Stop, int TimeoutMs = 10);
 
   /// Begins a graceful drain (thread-safe): the loop stops accepting,
   /// serves buffered pipelined requests, flushes pending output, closes
@@ -133,9 +120,6 @@ public:
     return Stats.Connections.load(std::memory_order_relaxed);
   }
 
-  /// Live (accepted, not yet closed) connections.
-  size_t activeConnections() const { return ActiveConns; }
-
 private:
   /// One pooled connection.  Reached via epoll_event.data.ptr; buffers
   /// keep their capacity across tenants (free-list recycling).
@@ -172,9 +156,7 @@ private:
   void closeConn(Conn *C);
   void armWrite(Conn *C, bool Enable);
 
-  Handler Handle;
   FastHandler Fast;
-  IdleHook Idle;
   int EpollFd = -1;
   int ListenFd = -1;
   int WakeFd = -1;

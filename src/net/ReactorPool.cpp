@@ -248,11 +248,13 @@ void ReactorPool::workerMain(unsigned Idx) {
                    N.takeError().str().c_str());
       break;
     }
-    // The idle point: no request is mid-handler on this worker.  The
-    // epoch tick publishes that fact; a rolling update committed since
-    // the last tick takes effect for this worker's next request here.
-    Epoch.quiesce();
+    // The idle point: no request is mid-handler on this worker.  Commit
+    // (or park for) an actionable update first, then tick the epoch:
+    // the tick publishes the quiescence, and every rolling update
+    // committed before it — including one this worker just committed —
+    // takes effect for this worker's next request.
     maybeEnterBarrier(Idx);
+    Epoch.quiesce();
     // A rolling commit landed since this worker's last quiescent point:
     // the worker serves the new bindings from here on.  One span per
     // worker per rolling update, stretching from the commit instant to

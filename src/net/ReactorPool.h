@@ -133,7 +133,6 @@ public:
   const WorkerStats &workerStats(unsigned I) const {
     return Reactors[I]->stats();
   }
-  Reactor &reactor(unsigned I) { return *Reactors[I]; }
 
   /// Completed barrier rounds (each committed queued work exactly once).
   uint64_t barrierRounds() const {

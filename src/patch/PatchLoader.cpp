@@ -184,7 +184,7 @@ struct VtalInstance {
       I->setProfile(Prof.get());
       for (const auto &[Name, Fn] : Imports)
         if (Error E = I->bindImport(Name, Fn))
-          return std::move(E);
+          return E;
     }
 #ifndef DSU_VTAL_NO_NATIVE
     {

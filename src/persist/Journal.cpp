@@ -277,7 +277,7 @@ UpdateJournal::open(const std::string &Dir, Options Opts) {
 
   if (Error E = J->recover())
     return E;
-  return std::move(J);
+  return J;
 }
 
 Error UpdateJournal::recover() {

@@ -6,8 +6,8 @@
 /// the function actually burning it, not its callees), trap count, and
 /// sampled activation wall time.  The interpreter bumps relaxed atomics
 /// at call boundaries only — the per-instruction dispatch loop is
-/// untouched — and the hooks compile out entirely when the CMake option
-/// DSU_VTAL_PROFILER is OFF.
+/// untouched; an interpreter with no profile attached pays one null
+/// check per call boundary.
 ///
 /// One ModuleProfile is created per loaded VTAL patch instance and
 /// shared by every pooled interpreter executing that module; a global

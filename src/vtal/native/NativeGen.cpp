@@ -36,9 +36,7 @@
 #include "vtal/native/X64Emitter.h"
 
 #include "epoch/Epoch.h"
-#ifndef DSU_VTAL_NO_PROFILER
 #include "trace/Profile.h"
-#endif
 
 #include <cstdlib>
 #include <cstring>
@@ -1131,13 +1129,11 @@ Expected<Value> Interpreter::runNative(uint32_t FnIndex,
 
   native::NativeStats::instance().NativeEntries.fetch_add(
       1, std::memory_order_relaxed);
-#ifndef DSU_VTAL_NO_PROFILER
   // Entry counts feed the same profile as interpreted activations; the
   // fuel natively executed functions burn is deliberately NOT attributed
   // as self-fuel (tier-up already happened — see DESIGN.md §17).
   if (Prof)
     Prof->fn(FnIndex).Calls.fetch_add(1, std::memory_order_relaxed);
-#endif
 
   uint64_t RawRet = Entry(&Ctx, RawArgs);
   Fuel = Ctx.Fuel;

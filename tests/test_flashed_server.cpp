@@ -2,12 +2,15 @@
 ///
 /// FlashEd over real sockets: the event loop serves loopback clients and
 /// applies dynamic patches between requests — the paper's headline
-/// scenario (updating a running web server with zero downtime).
+/// scenario (updating a running web server with zero downtime).  The
+/// server is a one-worker net::ReactorPool wired to the runtime, so the
+/// worker's idle point is FlashEd's update point; the lifecycle tests at
+/// the end drive a bare net::Reactor.
 
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/Patches.h"
-#include "flashed/Server.h"
+#include "net/ReactorPool.h"
 #include "runtime/UpdateController.h"
 
 #include <gtest/gtest.h>
@@ -26,6 +29,72 @@ using namespace dsu::flashed;
 
 namespace {
 
+/// Starts a pool (one worker unless \p O says otherwise) serving \p App
+/// and committing \p RT's staged updates at the workers' idle points.
+std::unique_ptr<net::ReactorPool> startPool(Runtime &RT, FlashedApp &App,
+                                            net::PoolOptions O = {}) {
+  auto Pool = std::make_unique<net::ReactorPool>(
+      [&App](const RequestHead &Head, std::string_view Raw, std::string &Out,
+             SharedBody &Body) { App.handleInto(Head, Raw, Out, Body); },
+      O);
+  Pool->setUpdateRuntime(RT);
+  App.attachPool(*Pool);
+  if (Error E = Pool->start()) {
+    ADD_FAILURE() << E.str();
+    return nullptr;
+  }
+  return Pool;
+}
+
+/// A blocking loopback connection to \p Port, or -1.  A nonzero
+/// \p RcvBuf shrinks the receive window to force server backpressure.
+int rawConnect(uint16_t Port, int RcvBuf = 0) {
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return -1;
+  if (RcvBuf)
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &RcvBuf, sizeof(RcvBuf));
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  Addr.sin_port = htons(Port);
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
+      0) {
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+/// Streams 64 KiB of header bytes with no terminating blank line down
+/// \p Fd, well past a 4 KiB request cap; true when the server cut the
+/// connection.  The cut must surface as a failed send, EOF or a reset;
+/// a receive timeout means the cap was never enforced.
+bool cutOffWhileStreamingGarbage(int Fd) {
+  std::string Chunk(1024, 'A');
+  for (int I = 0; I != 64; ++I) {
+    if (::send(Fd, Chunk.data(), Chunk.size(), MSG_NOSIGNAL) < 0)
+      return true; // server already reset the connection
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  timeval Tv{2, 0};
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+  char Buf[64];
+  ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+  return N == 0 || (N < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+}
+
+/// Everything the peer sends until it closes the connection.
+std::string readToEof(int Fd) {
+  std::string Raw;
+  char Buf[8192];
+  ssize_t N;
+  while ((N = ::recv(Fd, Buf, sizeof(Buf), 0)) > 0)
+    Raw.append(Buf, static_cast<size_t>(N));
+  return Raw;
+}
+
+/// FlashEd on a one-worker pool; the pool stops when the fixture dies.
 class ServerTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -34,34 +103,17 @@ protected:
     Docs.put("/doc.html", "<html>doc</html>");
     Docs.fillSynthetic(4, 1024);
     ASSERT_FALSE(App.init(std::move(Docs)));
-
-    Srv = std::make_unique<Server>(
-        [this](const std::string &Raw) { return App.handle(Raw); });
-    // The idle hook is FlashEd's update point.
-    Srv->setIdleHook([this] { RT.updatePoint(); });
-    ASSERT_FALSE(Srv->listenOn(0));
-
-    Loop = std::thread([this] {
-      Error E = Srv->runUntil([this] { return Stop.load(); }, 5);
-      EXPECT_FALSE(E) << E.str();
-    });
-  }
-
-  void TearDown() override {
-    Stop.store(true);
-    if (Loop.joinable())
-      Loop.join();
+    Pool = startPool(RT, App);
+    ASSERT_TRUE(Pool);
   }
 
   Runtime RT;
   FlashedApp App{RT};
-  std::unique_ptr<Server> Srv;
-  std::thread Loop;
-  std::atomic<bool> Stop{false};
+  std::unique_ptr<net::ReactorPool> Pool;
 };
 
 TEST_F(ServerTest, ServesOverLoopback) {
-  Expected<FetchResult> R = httpGet(Srv->port(), "/doc.html");
+  Expected<FetchResult> R = httpGet(Pool->port(), "/doc.html");
   ASSERT_TRUE(R) << R.takeError().str();
   EXPECT_EQ(R->Status, 200);
   EXPECT_EQ(R->Body, "<html>doc</html>");
@@ -70,23 +122,23 @@ TEST_F(ServerTest, ServesOverLoopback) {
 
 TEST_F(ServerTest, SequentialRequests) {
   for (int I = 0; I != 32; ++I) {
-    Expected<FetchResult> R = httpGet(Srv->port(), "/doc0.html");
+    Expected<FetchResult> R = httpGet(Pool->port(), "/doc0.html");
     ASSERT_TRUE(R) << R.takeError().str();
     EXPECT_EQ(R->Status, 200);
     EXPECT_EQ(R->Body.size(), 1024u);
   }
-  EXPECT_GE(Srv->requestsServed(), 32u);
+  EXPECT_GE(Pool->requestsServed(), 32u);
 }
 
 TEST_F(ServerTest, NotFoundAndErrors) {
-  Expected<FetchResult> R = httpGet(Srv->port(), "/missing.html");
+  Expected<FetchResult> R = httpGet(Pool->port(), "/missing.html");
   ASSERT_TRUE(R);
   EXPECT_EQ(R->Status, 404);
 }
 
 TEST_F(ServerTest, LoadGenerator) {
   Expected<LoadStats> S =
-      runLoad(Srv->port(), {"/doc0.html", "/doc1.html"}, 64);
+      runLoad(Pool->port(), {"/doc0.html", "/doc1.html"}, 64);
   ASSERT_TRUE(S) << S.takeError().str();
   EXPECT_EQ(S->Requests, 64u);
   EXPECT_EQ(S->Failures, 0u);
@@ -96,12 +148,12 @@ TEST_F(ServerTest, LoadGenerator) {
 
 TEST_F(ServerTest, LiveUpdateBetweenRequests) {
   // The seeded v1 bug, observed over the wire.
-  Expected<FetchResult> Before = httpGet(Srv->port(), "/doc.html?x=1");
+  Expected<FetchResult> Before = httpGet(Pool->port(), "/doc.html?x=1");
   ASSERT_TRUE(Before);
   EXPECT_EQ(Before->Status, 404);
 
-  // Queue P1 from this (client) thread; the server's idle hook applies
-  // it at the next update point.
+  // Queue P1 from this (client) thread; the worker applies it at its
+  // next update point.
   Expected<Patch> P1 = makePatchP1(App);
   ASSERT_TRUE(P1) << P1.takeError().str();
   RT.requestUpdate(std::move(*P1));
@@ -111,7 +163,7 @@ TEST_F(ServerTest, LiveUpdateBetweenRequests) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   ASSERT_EQ(RT.updatesApplied(), 1u);
 
-  Expected<FetchResult> After = httpGet(Srv->port(), "/doc.html?x=1");
+  Expected<FetchResult> After = httpGet(Pool->port(), "/doc.html?x=1");
   ASSERT_TRUE(After);
   EXPECT_EQ(After->Status, 200);
   EXPECT_EQ(After->Body, "<html>doc</html>");
@@ -124,15 +176,15 @@ TEST_F(ServerTest, FullEvolutionUnderTraffic) {
 
   unsigned Expected200 = 0, Got200 = 0;
   for (Patch &P : *Series) {
-    RT.requestUpdate(std::move(P));
     unsigned Want = RT.updatesApplied() + 1;
+    RT.requestUpdate(std::move(P));
     for (int Spin = 0; Spin != 200 && RT.updatesApplied() < Want; ++Spin)
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     ASSERT_EQ(RT.updatesApplied(), Want);
 
     for (int I = 0; I != 4; ++I) {
       ++Expected200;
-      Expected<FetchResult> R = httpGet(Srv->port(), "/doc0.html");
+      Expected<FetchResult> R = httpGet(Pool->port(), "/doc0.html");
       ASSERT_TRUE(R);
       if (R->Status == 200 && R->Body.size() == 1024)
         ++Got200;
@@ -153,105 +205,34 @@ TEST(ServerLimitsTest, OverlongIncompleteRequestDisconnected) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv([&App](const std::string &Raw) { return App.handle(Raw); });
-  // The cap must be configured before the loop thread starts: the field
-  // is read by the event loop without synchronization.
-  Srv.setMaxRequestBytes(4096);
-  ASSERT_FALSE(Srv.listenOn(0));
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    Error E = Srv.runUntil([&] { return Stop.load(); }, 5);
-    EXPECT_FALSE(E) << E.str();
-  });
+  net::PoolOptions O;
+  O.MaxRequestBytes = 4096;
+  std::unique_ptr<net::ReactorPool> Pool = startPool(RT, App, O);
+  ASSERT_TRUE(Pool);
 
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int Fd = rawConnect(Pool->port());
   ASSERT_GE(Fd, 0);
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv.port());
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
 
-  // Header bytes with no terminating blank line, well past the cap.  A
-  // client that streams bytes without ever completing a request must be
-  // cut off.
-  std::string Chunk(1024, 'A');
-  bool Rejected = false;
-  for (int I = 0; I != 64 && !Rejected; ++I) {
-    ssize_t N = ::send(Fd, Chunk.data(), Chunk.size(), MSG_NOSIGNAL);
-    if (N < 0)
-      Rejected = true; // server already reset the connection
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  if (!Rejected) {
-    // The close must surface as EOF or a reset on our side; a receive
-    // timeout (EAGAIN) means the cap was never enforced and the test
-    // must fail.
-    timeval Tv{2, 0};
-    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-    char Buf[64];
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    Rejected = N == 0 || (N < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
-  }
+  // A client that streams bytes without ever completing a request must
+  // be cut off.
+  EXPECT_TRUE(cutOffWhileStreamingGarbage(Fd));
   ::close(Fd);
-  EXPECT_TRUE(Rejected);
 
   // Well-behaved clients are unaffected.
-  Expected<FetchResult> R = httpGet(Srv.port(), "/x.html");
+  Expected<FetchResult> R = httpGet(Pool->port(), "/x.html");
   ASSERT_TRUE(R) << R.takeError().str();
   EXPECT_EQ(R->Status, 200);
-
-  Stop.store(true);
-  Loop.join();
 }
 
-// --- Persistent-connection (fast path) tests ----------------------------
+// --- Persistent-connection tests ----------------------------------------
 
-/// Like ServerTest, but serving through the writer-style fast path with
-/// keep-alive semantics.
-class FastServerTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    DocStore Docs;
-    Docs.put("/index.html", "<html>home</html>");
-    Docs.put("/doc.html", "<html>doc</html>");
-    Docs.fillSynthetic(4, 1024);
-    ASSERT_FALSE(App.init(std::move(Docs)));
-
-    Srv = std::make_unique<Server>(
-        [this](const RequestHead &Head, std::string_view Raw,
-               std::string &Out, SharedBody &Body) {
-          App.handleInto(Head, Raw, Out, Body);
-        });
-    // The idle hook is FlashEd's update point; it runs between requests
-    // of a persistent connection.
-    Srv->setIdleHook([this] { RT.updatePoint(); });
-    ASSERT_FALSE(Srv->listenOn(0));
-
-    Loop = std::thread([this] {
-      Error E = Srv->runUntil([this] { return Stop.load(); }, 5);
-      EXPECT_FALSE(E) << E.str();
-    });
-  }
-
-  void TearDown() override {
-    Stop.store(true);
-    if (Loop.joinable())
-      Loop.join();
-  }
-
-  Runtime RT;
-  FlashedApp App{RT};
-  std::unique_ptr<Server> Srv;
-  std::thread Loop;
-  std::atomic<bool> Stop{false};
-};
+/// The same server, exercised over persistent HTTP/1.1 connections
+/// (ServerTest's clients open a connection per request).
+using FastServerTest = ServerTest;
 
 TEST_F(FastServerTest, KeepAliveSequenceOnOneConnection) {
   KeepAliveClient C;
-  ASSERT_FALSE(C.connectTo(Srv->port()));
+  ASSERT_FALSE(C.connectTo(Pool->port()));
   for (int I = 0; I != 32; ++I) {
     Expected<FetchResult> R = C.get("/doc0.html");
     ASSERT_TRUE(R) << R.takeError().str();
@@ -260,14 +241,14 @@ TEST_F(FastServerTest, KeepAliveSequenceOnOneConnection) {
     EXPECT_NE(R->Headers.find("Connection: keep-alive"),
               std::string::npos);
   }
-  EXPECT_GE(Srv->requestsServed(), 32u);
+  EXPECT_GE(Pool->requestsServed(), 32u);
   // All 32 requests rode one TCP connection.
-  EXPECT_EQ(Srv->connectionsAccepted(), 1u);
+  EXPECT_EQ(Pool->connectionsAccepted(), 1u);
 }
 
 TEST_F(FastServerTest, PipelinedRequestsInOneRead) {
   KeepAliveClient C;
-  ASSERT_FALSE(C.connectTo(Srv->port()));
+  ASSERT_FALSE(C.connectTo(Pool->port()));
   Expected<std::vector<FetchResult>> Rs =
       C.pipeline({"/doc0.html", "/doc.html", "/index.html", "/doc1.html"});
   ASSERT_TRUE(Rs) << Rs.takeError().str();
@@ -277,22 +258,15 @@ TEST_F(FastServerTest, PipelinedRequestsInOneRead) {
   EXPECT_EQ((*Rs)[1].Body, "<html>doc</html>");
   EXPECT_EQ((*Rs)[2].Body, "<html>home</html>");
   EXPECT_EQ((*Rs)[3].Body.size(), 1024u);
-  EXPECT_EQ(Srv->connectionsAccepted(), 1u);
+  EXPECT_EQ(Pool->connectionsAccepted(), 1u);
 }
 
 TEST_F(FastServerTest, PipelinedBurstThenHalfCloseStillServed) {
   // A client may pipeline requests and immediately shut down its write
   // side; every buffered request must still be answered before the
   // server closes.
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int Fd = rawConnect(Pool->port());
   ASSERT_GE(Fd, 0);
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv->port());
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
   std::string Burst;
   for (int I = 0; I != 3; ++I)
     Burst += "GET /doc.html HTTP/1.1\r\nHost: h\r\n\r\n";
@@ -300,14 +274,7 @@ TEST_F(FastServerTest, PipelinedBurstThenHalfCloseStillServed) {
             static_cast<ssize_t>(Burst.size()));
   ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
 
-  std::string Raw;
-  char Buf[4096];
-  while (true) {
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    if (N <= 0)
-      break;
-    Raw.append(Buf, static_cast<size_t>(N));
-  }
+  std::string Raw = readToEof(Fd);
   ::close(Fd);
   size_t Hits = 0;
   for (size_t At = Raw.find("<html>doc</html>"); At != std::string::npos;
@@ -319,28 +286,14 @@ TEST_F(FastServerTest, PipelinedBurstThenHalfCloseStillServed) {
 TEST_F(FastServerTest, ConnectionCloseHonored) {
   // A raw HTTP/1.1 exchange with "Connection: close": the server must
   // answer, echo the close, and actually close the socket (EOF).
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int Fd = rawConnect(Pool->port());
   ASSERT_GE(Fd, 0);
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv->port());
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
   std::string Req = "GET /doc.html HTTP/1.1\r\nHost: h\r\n"
                     "Connection: close\r\n\r\n";
   ASSERT_EQ(::send(Fd, Req.data(), Req.size(), 0),
             static_cast<ssize_t>(Req.size()));
 
-  std::string Raw;
-  char Buf[4096];
-  while (true) {
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    if (N <= 0)
-      break; // EOF: the server closed its side
-    Raw.append(Buf, static_cast<size_t>(N));
-  }
+  std::string Raw = readToEof(Fd); // EOF: the server closed its side
   ::close(Fd);
   EXPECT_NE(Raw.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(Raw.find("Connection: close"), std::string::npos);
@@ -353,17 +306,8 @@ TEST_F(FastServerTest, PartialWritesUnderTinyReceiveBuffer) {
   // (writev of the shared body tail across many rounds).
   App.docs().put("/big.bin", syntheticBody(8u << 20, 42));
 
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int Fd = rawConnect(Pool->port(), /*RcvBuf=*/4096);
   ASSERT_GE(Fd, 0);
-  int Tiny = 4096;
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &Tiny, sizeof(Tiny));
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv->port());
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
   std::string Req = "GET /big.bin HTTP/1.1\r\nHost: h\r\n\r\n";
   ASSERT_EQ(::send(Fd, Req.data(), Req.size(), 0),
             static_cast<ssize_t>(Req.size()));
@@ -392,13 +336,7 @@ TEST_F(FastServerTest, PartialWritesUnderTinyReceiveBuffer) {
                      "Connection: close\r\n\r\n";
   ASSERT_EQ(::send(Fd, Req2.data(), Req2.size(), 0),
             static_cast<ssize_t>(Req2.size()));
-  std::string Raw2;
-  while (true) {
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    if (N <= 0)
-      break;
-    Raw2.append(Buf, static_cast<size_t>(N));
-  }
+  std::string Raw2 = readToEof(Fd);
   ::close(Fd);
   EXPECT_NE(Raw2.find("<html>doc</html>"), std::string::npos);
 }
@@ -408,7 +346,7 @@ TEST_F(FastServerTest, UpdateAppliesBetweenKeepAliveRequests) {
   // persistent connection: v1 bug before, patched behaviour after,
   // zero downtime and zero reconnects.
   KeepAliveClient C;
-  ASSERT_FALSE(C.connectTo(Srv->port()));
+  ASSERT_FALSE(C.connectTo(Pool->port()));
 
   Expected<FetchResult> Before = C.get("/doc.html?x=1");
   ASSERT_TRUE(Before) << Before.takeError().str();
@@ -427,13 +365,13 @@ TEST_F(FastServerTest, UpdateAppliesBetweenKeepAliveRequests) {
   EXPECT_EQ(After->Body, "<html>doc</html>");
   // Both exchanges used one connection: the update really happened
   // mid-connection.
-  EXPECT_EQ(Srv->connectionsAccepted(), 1u);
+  EXPECT_EQ(Pool->connectionsAccepted(), 1u);
 }
 
 // --- The /admin control plane over the wire ------------------------------
 
 /// FastServerTest plus the admin surface: POSTed patch artifacts are
-/// staged off-thread and committed by the idle hook.
+/// staged off-thread and committed at the worker's idle point.
 class AdminServerTest : public FastServerTest {
 protected:
   void SetUp() override {
@@ -447,10 +385,10 @@ protected:
 TEST_F(AdminServerTest, PatchPostedMidTrafficAppliesOnSameConnection) {
   // The acceptance scenario end to end: one persistent connection
   // observes the v1 bug, ships the fix through POST /admin/patches, and
-  // sees the patched behaviour — staging off-thread, commit at the idle
-  // hook, zero reconnects.
+  // sees the patched behaviour — staging off-thread, commit at the
+  // worker's idle point, zero reconnects.
   KeepAliveClient C;
-  ASSERT_FALSE(C.connectTo(Srv->port()));
+  ASSERT_FALSE(C.connectTo(Pool->port()));
 
   Expected<FetchResult> Before = C.get("/doc.html?x=1");
   ASSERT_TRUE(Before) << Before.takeError().str();
@@ -463,7 +401,7 @@ TEST_F(AdminServerTest, PatchPostedMidTrafficAppliesOnSameConnection) {
   EXPECT_EQ(Post->Status, 202);
   EXPECT_NE(Post->Body.find("\"tx\""), std::string::npos);
 
-  // The idle hook commits within a few poll cycles.
+  // The worker commits within a few poll cycles.
   for (int Spin = 0; Spin != 500 && RT.updatesApplied() == 0; ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   ASSERT_EQ(RT.updatesApplied(), 1u);
@@ -473,7 +411,7 @@ TEST_F(AdminServerTest, PatchPostedMidTrafficAppliesOnSameConnection) {
   EXPECT_EQ(After->Status, 200);
   EXPECT_EQ(After->Body, "<html>doc</html>");
   // Every exchange — including the patch upload — rode one connection.
-  EXPECT_EQ(Srv->connectionsAccepted(), 1u);
+  EXPECT_EQ(Pool->connectionsAccepted(), 1u);
 
   // The update log reports the transaction with its stage/commit split.
   Expected<FetchResult> LogR = C.get("/admin/updates");
@@ -488,7 +426,7 @@ TEST_F(AdminServerTest, PatchPostedMidTrafficAppliesOnSameConnection) {
 
 TEST_F(AdminServerTest, MalformedArtifactSurfacesInUpdateLog) {
   KeepAliveClient C;
-  ASSERT_FALSE(C.connectTo(Srv->port()));
+  ASSERT_FALSE(C.connectTo(Pool->port()));
   Expected<FetchResult> Post =
       C.post("/admin/patches", "(not a patch", "text/plain");
   ASSERT_TRUE(Post) << Post.takeError().str();
@@ -507,7 +445,7 @@ TEST_F(AdminServerTest, MalformedArtifactSurfacesInUpdateLog) {
 
 TEST_F(AdminServerTest, StatusAndRollbackEndpoints) {
   KeepAliveClient C;
-  ASSERT_FALSE(C.connectTo(Srv->port()));
+  ASSERT_FALSE(C.connectTo(Pool->port()));
 
   Expected<FetchResult> S = C.get("/admin/status");
   ASSERT_TRUE(S) << S.takeError().str();
@@ -564,36 +502,22 @@ TEST(FastServerLimitsTest, BufferCapEnforcedOnPersistentConnection) {
   DocStore Docs;
   Docs.put("/x.html", "x");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv([&App](const RequestHead &Head, std::string_view Raw,
-                    std::string &Out, SharedBody &Body) {
-    App.handleInto(Head, Raw, Out, Body);
-  });
-  Srv.setMaxRequestBytes(4096);
-  ASSERT_FALSE(Srv.listenOn(0));
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    Error E = Srv.runUntil([&] { return Stop.load(); }, 5);
-    EXPECT_FALSE(E) << E.str();
-  });
+  net::PoolOptions O;
+  O.MaxRequestBytes = 4096;
+  std::unique_ptr<net::ReactorPool> Pool = startPool(RT, App, O);
+  ASSERT_TRUE(Pool);
 
   // A well-formed keep-alive exchange first: the connection persists.
   KeepAliveClient C;
-  ASSERT_FALSE(C.connectTo(Srv.port()));
+  ASSERT_FALSE(C.connectTo(Pool->port()));
   Expected<FetchResult> R = C.get("/x.html");
   ASSERT_TRUE(R) << R.takeError().str();
   EXPECT_EQ(R->Status, 200);
 
   // Then stream header bytes with no terminating blank line past the
   // cap on that same (persistent) connection: the server must cut it.
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int Fd = rawConnect(Pool->port());
   ASSERT_GE(Fd, 0);
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv.port());
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
   std::string Ok = "GET /x.html HTTP/1.1\r\nHost: h\r\n\r\n";
   ASSERT_EQ(::send(Fd, Ok.data(), Ok.size(), 0),
             static_cast<ssize_t>(Ok.size()));
@@ -606,46 +530,19 @@ TEST(FastServerLimitsTest, BufferCapEnforcedOnPersistentConnection) {
     Head.append(Buf, static_cast<size_t>(N));
   }
 
-  std::string Chunk(1024, 'A');
-  bool Rejected = false;
-  for (int I = 0; I != 64 && !Rejected; ++I) {
-    ssize_t N = ::send(Fd, Chunk.data(), Chunk.size(), MSG_NOSIGNAL);
-    if (N < 0)
-      Rejected = true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  if (!Rejected) {
-    timeval Tv{2, 0};
-    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    Rejected = N == 0 || (N < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
-  }
+  EXPECT_TRUE(cutOffWhileStreamingGarbage(Fd));
   ::close(Fd);
-  EXPECT_TRUE(Rejected);
-
-  Stop.store(true);
-  Loop.join();
 }
 
 TEST_F(FastServerTest, GracefulStopDrainsBackpressuredPipelinedRequests) {
   // Four pipelined requests for a large body against a tiny client
   // receive window: at stop() time the server is guaranteed to hold
   // both unsent output and buffered not-yet-served requests.  A
-  // graceful stop must serve and flush all of it before closing —
-  // the old shutdown() raced the loop and dropped them.
+  // graceful stop must serve and flush all of it before closing.
   App.docs().put("/big.bin", syntheticBody(1u << 20, 7));
 
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int Fd = rawConnect(Pool->port(), /*RcvBuf=*/4096);
   ASSERT_GE(Fd, 0);
-  int Tiny = 4096;
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &Tiny, sizeof(Tiny));
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv->port());
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
   std::string Burst;
   for (int I = 0; I != 4; ++I)
     Burst += "GET /big.bin HTTP/1.1\r\nHost: h\r\n\r\n";
@@ -653,21 +550,15 @@ TEST_F(FastServerTest, GracefulStopDrainsBackpressuredPipelinedRequests) {
             static_cast<ssize_t>(Burst.size()));
 
   // Wait until at least one response started flowing, then stop while
-  // later pipelined requests are still queued behind backpressure.
-  for (int Spin = 0; Spin != 1000 && Srv->requestsServed() == 0; ++Spin)
+  // later pipelined requests are still queued behind backpressure.  The
+  // drain needs this thread to keep reading, so stop() runs on another.
+  for (int Spin = 0; Spin != 1000 && Pool->requestsServed() == 0; ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_GT(Srv->requestsServed(), 0u);
-  Srv->stop();
+  ASSERT_GT(Pool->requestsServed(), 0u);
+  std::thread Stopper([this] { Pool->stop(); });
 
   // Every byte of all four responses arrives, then EOF.
-  std::string Raw;
-  char Buf[8192];
-  while (true) {
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    if (N <= 0)
-      break;
-    Raw.append(Buf, static_cast<size_t>(N));
-  }
+  std::string Raw = readToEof(Fd);
   ::close(Fd);
   size_t Hits = 0;
   for (size_t Pos = Raw.find("HTTP/1.1 200 OK"); Pos != std::string::npos;
@@ -676,21 +567,14 @@ TEST_F(FastServerTest, GracefulStopDrainsBackpressuredPipelinedRequests) {
   EXPECT_EQ(Hits, 4u);
   EXPECT_EQ(Raw.size(), 4 * ((1u << 20) + Raw.find("\r\n\r\n") + 4));
 
-  // The loop thread exits on its own once the drain completes.
-  Loop.join();
-  EXPECT_TRUE(Srv->drained());
+  // The worker exits its loop on its own once the drain completes.
+  Stopper.join();
+  EXPECT_EQ(Pool->workerState(0), net::ReactorPool::WorkerState::Stopped);
 }
 
 TEST_F(FastServerTest, GracefulStopClosesIdleKeepAliveConnections) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int Fd = rawConnect(Pool->port());
   ASSERT_GE(Fd, 0);
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv->port());
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
   std::string Req = "GET /doc.html HTTP/1.1\r\nHost: h\r\n\r\n";
   ASSERT_EQ(::send(Fd, Req.data(), Req.size(), 0),
             static_cast<ssize_t>(Req.size()));
@@ -704,82 +588,82 @@ TEST_F(FastServerTest, GracefulStopClosesIdleKeepAliveConnections) {
 
   // The connection is now an idle keep-alive conn; stop() must close
   // it instead of leaving the client hanging.
-  Srv->stop();
+  Pool->stop();
+  EXPECT_EQ(Pool->workerState(0), net::ReactorPool::WorkerState::Stopped);
   ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
   EXPECT_EQ(N, 0); // clean EOF, not a timeout or reset
   ::close(Fd);
-  Loop.join();
-  EXPECT_TRUE(Srv->drained());
 }
 
-TEST_F(FastServerTest, DrainDeadlineForceClosesStalledPeer) {
+// --- The reactor's own lifecycle, driven directly ------------------------
+
+/// A reactor handler answering every request with \p Body.
+net::Reactor::FastHandler serveBody(std::string Body) {
+  auto Shared = std::make_shared<const std::string>(std::move(Body));
+  return [Shared](const RequestHead &Head, std::string_view, std::string &Out,
+                  SharedBody &Tail) {
+    appendHttpResponseHead(Out, 200, "application/octet-stream",
+                           Shared->size(), Head.KeepAlive);
+    Tail = Shared;
+  };
+}
+
+TEST(ServerLifecycleTest, DoubleListenIsARealError) {
+  net::Reactor R(serveBody("x"));
+  ASSERT_FALSE(R.open({}));
+  uint16_t Port = R.port();
+  // A second open must fail loudly (not assert, not leak an fd) and
+  // leave the original listener in place.
+  Error E = R.open({});
+  EXPECT_TRUE(static_cast<bool>(E));
+  EXPECT_EQ(E.code(), ErrorCode::EC_IO);
+  EXPECT_NE(E.str().find("already listening"), std::string::npos);
+  EXPECT_EQ(R.port(), Port);
+  R.close();
+}
+
+TEST(ServerLifecycleTest, ShutdownAndRebind) {
+  net::Reactor R(serveBody("x"));
+  ASSERT_FALSE(R.open({}));
+  EXPECT_GT(R.port(), 0u);
+  R.close();
+  // Opening again picks a fresh ephemeral port.
+  ASSERT_FALSE(R.open({}));
+  EXPECT_GT(R.port(), 0u);
+  R.close();
+}
+
+TEST(ServerLifecycleTest, DrainDeadlineForceClosesStalledPeer) {
   // A client that requests a large body and then never reads it keeps
   // unsent output pending forever; the drain deadline must force-close
-  // it so stop() cannot be wedged by one stalled peer.
-  App.docs().put("/big.bin", syntheticBody(4u << 20, 9));
-  Srv->setDrainTimeout(100);
+  // it so a requested stop cannot be wedged by one stalled peer.
+  net::Reactor R(serveBody(syntheticBody(4u << 20, 9)));
+  ASSERT_FALSE(R.open({}));
+  R.setDrainTimeout(100);
+  std::thread Loop([&R] {
+    while (!R.drainComplete()) {
+      Expected<int> N = R.pollOnce(5);
+      ASSERT_TRUE(N) << N.takeError().str();
+    }
+  });
 
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int Fd = rawConnect(R.port(), /*RcvBuf=*/4096);
   ASSERT_GE(Fd, 0);
-  int Tiny = 4096;
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &Tiny, sizeof(Tiny));
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Srv->port());
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
   std::string Req = "GET /big.bin HTTP/1.1\r\nHost: h\r\n\r\n";
   ASSERT_EQ(::send(Fd, Req.data(), Req.size(), 0),
             static_cast<ssize_t>(Req.size()));
-  for (int Spin = 0; Spin != 1000 && Srv->requestsServed() == 0; ++Spin)
+  for (int Spin = 0; Spin != 1000 && R.requestsServed() == 0; ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   auto Begin = std::chrono::steady_clock::now();
-  Srv->stop();
+  R.requestStop();
   Loop.join(); // must return: the stalled conn is cut at the deadline
   auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - Begin)
                 .count();
-  EXPECT_TRUE(Srv->drained());
+  EXPECT_TRUE(R.drainComplete());
   EXPECT_LT(Ms, 3000);
   ::close(Fd);
-}
-
-TEST(ServerLifecycleTest, DoubleListenIsARealError) {
-  Runtime RT;
-  FlashedApp App(RT);
-  DocStore Docs;
-  Docs.put("/x.html", "x");
-  ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv([&App](const std::string &Raw) { return App.handle(Raw); });
-  ASSERT_FALSE(Srv.listenOn(0));
-  uint16_t Port = Srv.port();
-  // A second listenOn must fail loudly (not assert, not leak an fd) and
-  // leave the original listener serving.
-  Error E = Srv.listenOn(0);
-  EXPECT_TRUE(static_cast<bool>(E));
-  EXPECT_NE(E.str().find("already listening"), std::string::npos);
-  EXPECT_EQ(Srv.port(), Port);
-  Srv.shutdown();
-}
-
-TEST(ServerLifecycleTest, ShutdownAndRebind) {
-  Runtime RT;
-  FlashedApp App(RT);
-  DocStore Docs;
-  Docs.put("/x.html", "x");
-  ASSERT_FALSE(App.init(std::move(Docs)));
-  Server Srv([&App](const std::string &Raw) { return App.handle(Raw); });
-  ASSERT_FALSE(Srv.listenOn(0));
-  uint16_t Port = Srv.port();
-  EXPECT_GT(Port, 0u);
-  Srv.shutdown();
-  // Listening again picks a fresh ephemeral port.
-  ASSERT_FALSE(Srv.listenOn(0));
-  EXPECT_GT(Srv.port(), 0u);
-  Srv.shutdown();
 }
 
 } // namespace

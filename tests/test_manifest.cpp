@@ -82,6 +82,11 @@ struct BadManifest {
   const char *Text;
 };
 
+// Print a case by its name. The default printer dumps the pointer bytes,
+// which address randomisation changes on every run, and that dump is
+// part of the test name that ctest discovers.
+void PrintTo(const BadManifest &C, std::ostream *OS) { *OS << C.Name; }
+
 class ManifestErrors : public ::testing::TestWithParam<BadManifest> {};
 
 TEST_P(ManifestErrors, Rejected) {

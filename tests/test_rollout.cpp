@@ -310,7 +310,7 @@ TEST_F(RolloutPoolTest, RollChainsDrainFromReactorIdle) {
   WAIT_FOR(RT.updatesApplied() >= 1);
   EXPECT_EQ(RT.rollingCommits(), 1u);
 
-  // No more commits, no explicit flush: the workers' idle hook detaches
+  // No more commits, no explicit flush: the workers' idle points detach
   // the chain once every registered worker has quiesced past it.
   WAIT_FOR(App.MapUrl.slot()->rollDepth() == 0);
 }
@@ -377,6 +377,42 @@ TEST_F(RolloutPoolTest, UpdatectlRolloutCommandReportsTheVerdict) {
   EXPECT_NE(Out->find("promoted"), std::string::npos) << *Out;
   std::remove(PatchFile.c_str());
   std::remove(OutFile.c_str());
+}
+
+/// Malformed gate parameters are refused before anything is staged.  A
+/// NaN error gate never trips, so parsing "nan" leniently would promote
+/// a patch that answers 500 on every canary request.
+TEST_F(RolloutPoolTest, MalformedGateParametersAreRefused) {
+  KeepAliveClient C;
+  ASSERT_FALSE(C.connectTo(Pool->port()));
+  for (std::string Query :
+       {"max_error_delta=nan", "max_error_delta=abc", "max_error_delta=inf",
+        "max_error_delta=-0.5", "max_error_delta=", "max_latency_delta_us=nan",
+        "max_latency_delta_us=abc", "canary_workers=abc", "window_ms=1.5"}) {
+    Expected<FetchResult> R = C.post("/admin/rollout?" + Query,
+                                     GoodMapUrlPatch,
+                                     "application/x-dsu-patch");
+    ASSERT_TRUE(R) << Query;
+    EXPECT_EQ(R->Status, 400) << Query << ": " << R->Body;
+    std::string Name = Query.substr(0, Query.find('='));
+    EXPECT_NE(R->Body.find("'" + Name + "'"), std::string::npos) << R->Body;
+  }
+  Expected<FetchResult> List = C.get("/admin/rollouts");
+  ASSERT_TRUE(List);
+  EXPECT_EQ(List->Body, "{\"rollouts\": []}");
+  EXPECT_TRUE(RT.updateLog().empty()) << "a refused rollout staged";
+
+  // Well-formed values still land, including the negative latency delta
+  // that switches that gate off.
+  Expected<FetchResult> Good = C.post(
+      "/admin/rollout?max_error_delta=0.05&max_latency_delta_us=-1"
+      "&window_ms=100",
+      GoodMapUrlPatch, "application/x-dsu-patch");
+  ASSERT_TRUE(Good);
+  EXPECT_EQ(Good->Status, 202) << Good->Body;
+  WAIT_FOR(!App.rollouts().busy());
+  ASSERT_EQ(App.rollouts().rollouts().size(), 1u);
+  EXPECT_EQ(App.rollouts().rollouts()[0].Verdict, "promoted");
 }
 
 /// A single-worker fleet cannot hold back a control group: the rollout

@@ -7,7 +7,6 @@
 #include "flashed/App.h"
 #include "flashed/Client.h"
 #include "flashed/Patches.h"
-#include "flashed/Server.h"
 #include "net/ReactorPool.h"
 #include "patch/Manifest.h"
 #include "runtime/UpdateController.h"
@@ -16,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -183,22 +181,18 @@ TEST_F(ToolsTest, UpdatectlDrivesALiveServer) {
   flashed::DocStore Docs;
   Docs.put("/doc.html", "<html>doc</html>");
   ASSERT_FALSE(App.init(std::move(Docs)));
-  flashed::Server Srv(
+  net::ReactorPool Pool(
       [&App](const flashed::RequestHead &Head, std::string_view Raw,
              std::string &Out, flashed::SharedBody &Body) {
         App.handleInto(Head, Raw, Out, Body);
       });
-  Srv.setIdleHook([&RT] { RT.updatePoint(); });
-  ASSERT_FALSE(Srv.listenOn(0));
-  std::atomic<bool> Stop{false};
-  std::thread Loop([&] {
-    Error E = Srv.runUntil([&] { return Stop.load(); }, 5);
-    EXPECT_FALSE(E) << E.str();
-  });
-  std::string Port = std::to_string(Srv.port());
+  Pool.setUpdateRuntime(RT);
+  App.attachPool(Pool);
+  ASSERT_FALSE(Pool.start());
+  std::string Port = std::to_string(Pool.port());
 
   // v1 bug visible over the wire.
-  EXPECT_EQ(flashed::httpGet(Srv.port(), "/doc.html?x=1")->Status, 404);
+  EXPECT_EQ(flashed::httpGet(Pool.port(), "/doc.html?x=1")->Status, 404);
 
   std::string Artifact = tmpPath("p1.dsup");
   ASSERT_FALSE(writeFile(Artifact, flashed::vtalParseFixPatchText()));
@@ -214,7 +208,7 @@ TEST_F(ToolsTest, UpdatectlDrivesALiveServer) {
   for (int Spin = 0; Spin != 500 && RT.updatesApplied() == 0; ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   ASSERT_EQ(RT.updatesApplied(), 1u);
-  EXPECT_EQ(flashed::httpGet(Srv.port(), "/doc.html?x=1")->Status, 200);
+  EXPECT_EQ(flashed::httpGet(Pool.port(), "/doc.html?x=1")->Status, 200);
 
   // The log and status subcommands read back the transaction.
   EXPECT_EQ(run(toolPath("dsu-updatectl") + " log " + Port, Out), 0);
@@ -222,11 +216,14 @@ TEST_F(ToolsTest, UpdatectlDrivesALiveServer) {
   ASSERT_TRUE(Log);
   EXPECT_NE(Log->find("committed"), std::string::npos);
   EXPECT_EQ(run(toolPath("dsu-updatectl") + " status " + Port, Out), 0);
-  // The single-worker facade has no pool: `status --workers` must say so.
+  // `status --workers` renders the one worker's state.
   EXPECT_EQ(run(toolPath("dsu-updatectl") + " status " + Port +
                     " --workers",
                 Out),
-            1);
+            0);
+  Expected<std::string> Workers = readFile(Out);
+  ASSERT_TRUE(Workers);
+  EXPECT_NE(Workers->find("\"worker_state\""), std::string::npos);
   // The metrics subcommand works against any admin-enabled server.
   EXPECT_EQ(run(toolPath("dsu-updatectl") + " metrics " + Port, Out), 0);
   Expected<std::string> Metrics = readFile(Out);
@@ -241,14 +238,13 @@ TEST_F(ToolsTest, UpdatectlDrivesALiveServer) {
                     " flashed.parse_target",
                 Out),
             0);
-  EXPECT_EQ(flashed::httpGet(Srv.port(), "/doc.html?x=1")->Status, 404);
+  EXPECT_EQ(flashed::httpGet(Pool.port(), "/doc.html?x=1")->Status, 404);
   EXPECT_NE(run(toolPath("dsu-updatectl") + " rollback " + Port + " ghost",
                 Out),
             0);
 
   std::remove(Artifact.c_str());
-  Stop.store(true);
-  Loop.join();
+  Pool.stop();
 }
 
 TEST_F(ToolsTest, UpdatectlSurfacesPerWorkerStateAndMetrics) {

@@ -129,8 +129,9 @@ TEST_P(TypeParseErrors, Rejected) {
   TypeContext Ctx;
   Expected<const Type *> T = parseType(Ctx, GetParam());
   EXPECT_FALSE(T) << "accepted: " << GetParam();
-  if (!T)
+  if (!T) {
     EXPECT_EQ(T.error().code(), ErrorCode::EC_Parse);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
