@@ -61,6 +61,11 @@ Error Runtime::exportHost(const std::string &Name, const Type *Ty,
 
 // --- Transaction plumbing ------------------------------------------------
 
+/// Transaction ids are unique in the process, not per Runtime: the flight
+/// recorder is process-global and keys an update's spans by its id, so
+/// two runtimes in one process must never hand out the same id.
+static std::atomic<uint64_t> NextTxId{1};
+
 std::shared_ptr<UpdateTransaction>
 Runtime::makeTransaction(std::string PatchId) {
   auto Tx = std::shared_ptr<UpdateTransaction>(

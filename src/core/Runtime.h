@@ -399,8 +399,6 @@ private:
   /// generation revalidates its link plan before committing.
   std::atomic<uint64_t> CommitGeneration{0};
 
-  std::atomic<uint64_t> NextTxId{1};
-
   /// See lastRollingTxId() / lastRollingCommitUs().
   std::atomic<uint64_t> LastRollingTxId{0};
   std::atomic<uint64_t> LastRollingCommitUs{0};

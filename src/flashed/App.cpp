@@ -63,21 +63,12 @@ std::string FlashedApp::cacheGetV1(std::string Path) {
   // inside the request's epoch scope.  No mutex anywhere on the cache
   // read path — a staging thread snapshots the same immutable payload.
   epoch::Guard G;
-  auto *C = Cache->live<const CacheV1>();
-  auto It = C->Entries.find(Path);
-  return It == C->Entries.end() ? std::string() : *It->second;
+  const SharedBody *B = Cache->live<const CacheV1>()->Entries.find(Path);
+  return B ? **B : std::string();
 }
 
-void FlashedApp::cachePutV1(std::string Path,
-                            std::string Body) {
-  // Copy-update-publish: writers serialize on the payload lock (the
-  // miss path, not the hot path), readers never block, and the old
-  // snapshot drains through the epoch domain.
-  auto Shared = std::make_shared<const std::string>(std::move(Body));
-  std::lock_guard<std::mutex> G(Cache->payloadLock());
-  auto Next = std::make_shared<CacheV1>(*Cache->get<CacheV1>());
-  Next->Entries[Path] = std::move(Shared);
-  Cache->publish(std::move(Next));
+void FlashedApp::cachePutV1(std::string Path, std::string Body) {
+  fillCache(Path, std::make_shared<const std::string>(std::move(Body)));
 }
 
 void FlashedApp::logAccessV1(std::string Path, int64_t Status) {
@@ -262,22 +253,21 @@ std::string FlashedApp::handleStatic(const std::string &RawRequest) {
 // --- The zero-copy fast path -------------------------------------------
 
 void FlashedApp::fillCache(const std::string &Path, const SharedBody &Doc) {
-  // The miss path: copy-update-publish under the writer lock.  The
-  // version is re-read under the lock — a migration cannot slip between
-  // the dispatch and the publish.
+  // The miss path: copy-set-publish under the writer lock.  The copy
+  // shares every shard and set() clones the one that holds Path;
+  // readers never block, and the old snapshot drains through the epoch
+  // domain.  The version is re-read under the lock — a migration cannot
+  // slip between the dispatch and the publish.
   std::lock_guard<std::mutex> G(Cache->payloadLock());
   const Type *Ty = Cache->type();
   uint32_t Version = Ty->isNamed() ? Ty->name().Version : 0;
   if (Version == 1) {
     auto Next = std::make_shared<CacheV1>(*Cache->get<CacheV1>());
-    Next->Entries[Path] = Doc;
+    Next->Entries.set(Path, Doc);
     Cache->publish(std::move(Next));
   } else if (Version == 2) {
     auto Next = std::make_shared<CacheV2>(*Cache->get<CacheV2>());
-    CacheEntryV2 E;
-    E.Body = Doc;
-    E.LastAccessMs.store(nowMs(), std::memory_order_relaxed);
-    Next->Entries[Path] = std::move(E);
+    Next->Entries.set(Path, CacheEntryV2(Doc, nowMs()));
     Cache->publish(std::move(Next));
   }
 }
@@ -293,24 +283,22 @@ SharedBody FlashedApp::lookupBody(const std::string &Path) {
   // atomic load inside the request's epoch scope (a no-op for reactor
   // workers), entry hit counters are relaxed atomics bumped on the
   // shared immutable snapshot, and the mutex appears only on the miss
-  // path's copy-update-publish.
+  // path's copy-set-publish.
   epoch::Guard G;
   const StateCell::LivePayload *LP = Cache->livePayload();
   uint32_t Version = LP->Ty->isNamed() ? LP->Ty->name().Version : 0;
   if (Version == 1) {
     auto *C = static_cast<const CacheV1 *>(LP->Data.get());
-    auto It = C->Entries.find(Path);
-    if (It != C->Entries.end())
-      return It->second;
+    if (const SharedBody *B = C->Entries.find(Path))
+      return *B;
   } else if (Version == 2) {
     auto *C = static_cast<const CacheV2 *>(LP->Data.get());
-    auto It = C->Entries.find(Path);
-    if (It != C->Entries.end()) {
-      const_cast<CacheEntryV2 &>(It->second).noteHit(nowMs());
+    if (const CacheEntryV2 *E = C->Entries.find(Path)) {
+      const_cast<CacheEntryV2 *>(E)->noteHit(nowMs());
       // Statistics mutated: a migration staged from an older snapshot
       // must still rebuild at commit, as the locked path always did.
       Cache->noteMutation();
-      return It->second.Body;
+      return E->Body;
     }
   } else {
     // A representation this build does not know: go through the

@@ -172,6 +172,11 @@ public:
   void cachePutV1(std::string Path, std::string Body);
   static void logAccessV1(std::string Path, int64_t Status);
 
+  /// The one cache write: copy-set-publish of \p Doc at \p Path into the
+  /// cache snapshot at its live version.  The miss path and both
+  /// versions' cache_put bindings (v1 here, v2 in patch P3) call it.
+  void fillCache(const std::string &Path, const SharedBody &Doc);
+
 private:
   template <typename HParse, typename HMap, typename HMime, typename HGet,
             typename HPut, typename HLog>
@@ -188,9 +193,6 @@ private:
   /// snapshot lock-free (bumping V2 hit counters in place), falling
   /// back to the document store and filling the cache on a miss.
   SharedBody lookupBody(const std::string &Path);
-
-  /// The miss path's copy-update-publish of the cache snapshot.
-  void fillCache(const std::string &Path, const SharedBody &Doc);
 
   /// Serves one /admin request into \p Out.
   void handleAdmin(const RequestHead &Head, std::string_view Raw,

@@ -12,14 +12,18 @@
 /// that marshalling is part of what E2 measures — while the serving fast
 /// path shares the same bytes with the socket layer without copying.
 ///
+/// Both versions keep their entries in a SnapshotMap, so a miss's
+/// copy-set-publish clones one shard, not the whole cache.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DSU_FLASHED_CACHE_H
 #define DSU_FLASHED_CACHE_H
 
+#include "support/SnapshotMap.h"
+
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -31,7 +35,7 @@ using SharedBody = std::shared_ptr<const std::string>;
 
 /// %flashed_cache@1 : array<{path: string, body: string}>
 struct CacheV1 {
-  std::map<std::string, SharedBody> Entries;
+  SnapshotMap<SharedBody> Entries;
 };
 
 /// One entry of %flashed_cache@2.  The statistics fields are relaxed
@@ -46,6 +50,9 @@ struct CacheEntryV2 {
   std::atomic<int64_t> LastAccessMs{0};
 
   CacheEntryV2() = default;
+  /// A fresh entry: no hits yet, last accessed at \p NowMs.
+  CacheEntryV2(SharedBody Body, int64_t NowMs)
+      : Body(std::move(Body)), LastAccessMs(NowMs) {}
   CacheEntryV2(const CacheEntryV2 &O)
       : Body(O.Body), Hits(O.Hits.load(std::memory_order_relaxed)),
         LastAccessMs(O.LastAccessMs.load(std::memory_order_relaxed)) {}
@@ -83,7 +90,7 @@ struct CacheEntryV2 {
 /// %flashed_cache@2 :
 ///   array<{path: string, body: string, hits: int, last_ms: int}>
 struct CacheV2 {
-  std::map<std::string, CacheEntryV2> Entries;
+  SnapshotMap<CacheEntryV2> Entries;
 };
 
 /// Type text of each representation (kept beside the structs so the

@@ -21,7 +21,7 @@ template <typename Fn> void DocStore::updateTree(Fn &&Mutate) {
 
 void DocStore::put(const std::string &Path, std::string Body) {
   auto Shared = std::make_shared<const std::string>(std::move(Body));
-  updateTree([&](Map &M) { M[Path] = std::move(Shared); });
+  updateTree([&](Map &M) { M.set(Path, std::move(Shared)); });
 }
 
 const std::string *DocStore::get(const std::string &Path) const {
@@ -29,17 +29,15 @@ const std::string *DocStore::get(const std::string &Path) const {
   // snapshot; a concurrent put() to the SAME path can retire it after
   // the caller's epoch scope, so live replacement flows use getShared().
   epoch::Guard G;
-  const Map *M = Tree.load();
-  auto It = M->find(Path);
-  return It == M->end() ? nullptr : It->second.get();
+  const auto *B = Tree.load()->find(Path);
+  return B ? B->get() : nullptr;
 }
 
 std::shared_ptr<const std::string>
 DocStore::getShared(const std::string &Path) const {
   epoch::Guard G;
-  const Map *M = Tree.load();
-  auto It = M->find(Path);
-  return It == M->end() ? nullptr : It->second;
+  const auto *B = Tree.load()->find(Path);
+  return B ? *B : nullptr;
 }
 
 bool DocStore::isUnsafePath(const std::string &Path) {
@@ -56,18 +54,18 @@ std::vector<std::string> DocStore::paths() const {
   const Map *M = Tree.load();
   std::vector<std::string> Out;
   Out.reserve(M->size());
-  for (const auto &[Path, Body] : *M) {
-    (void)Body;
+  M->forEach([&](const std::string &Path, const auto &) {
     Out.push_back(Path);
-  }
+  });
+  std::sort(Out.begin(), Out.end());
   return Out;
 }
 
 void DocStore::fillSynthetic(unsigned Count, size_t Bytes) {
   updateTree([&](Map &M) {
     for (unsigned I = 0; I != Count; ++I)
-      M[formatString("/doc%u.html", I)] =
-          std::make_shared<const std::string>(syntheticBody(Bytes, I));
+      M.set(formatString("/doc%u.html", I),
+            std::make_shared<const std::string>(syntheticBody(Bytes, I)));
   });
 }
 

@@ -14,9 +14,9 @@
 #define DSU_FLASHED_DOCSTORE_H
 
 #include "epoch/Epoch.h"
+#include "support/SnapshotMap.h"
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,13 +33,13 @@ namespace flashed {
 /// epoch::Ptr — readers (every reactor worker of a pool, concurrently)
 /// take an epoch guard and one atomic load, **no mutex on the read
 /// path**; writers (hot content reload on the admin path) serialize on
-/// a write lock, copy-update-publish, and the superseded snapshot is
+/// a write lock, copy-set-publish, and the superseded snapshot is
 /// epoch-retired once every worker has passed its next quiescent point.
-/// This replaced the PR 4 reader/writer lock: document reads now cost
-/// the same with 1 worker or 64.
+/// The tree is a SnapshotMap, so a put() clones one shard, not the tree.
+/// Document reads cost the same with 1 worker or 64.
 class DocStore {
 public:
-  using Map = std::map<std::string, std::shared_ptr<const std::string>>;
+  using Map = SnapshotMap<std::shared_ptr<const std::string>>;
 
   DocStore() : Tree(new Map) {}
   /// Move transfers the tree only; moves happen during single-threaded
@@ -66,6 +66,7 @@ public:
   static bool isUnsafePath(const std::string &Path);
 
   size_t size() const;
+  /// Every document path, sorted.
   std::vector<std::string> paths() const;
 
   /// Fills the store with deterministic synthetic documents named
@@ -73,8 +74,8 @@ public:
   void fillSynthetic(unsigned Count, size_t Bytes);
 
 private:
-  /// Writers only: copy the live snapshot, mutate via \p Mutate,
-  /// publish, retire the old snapshot.
+  /// Writers only: copy the live snapshot (sharing its shards), set
+  /// keys via \p Mutate, publish, retire the old snapshot.
   template <typename Fn> void updateTree(Fn &&Mutate);
 
   std::mutex WriteMu; ///< serializes writers; readers never take it

@@ -100,53 +100,41 @@ Expected<Patch> dsu::flashed::makePatchP3(FlashedApp &App) {
          const StateCell &) -> Expected<std::shared_ptr<void>> {
     auto *V1 = static_cast<CacheV1 *>(Old.get());
     auto V2 = std::make_shared<CacheV2>();
-    for (const auto &[Path, Body] : V1->Entries) {
-      CacheEntryV2 E;
-      E.Body = Body;
-      E.Hits = 0;
-      E.LastAccessMs = nowMs();
-      V2->Entries.emplace(Path, std::move(E));
-    }
+    int64_t Now = nowMs();
+    V2->Entries = V1->Entries.mapValues<CacheEntryV2>(
+        [Now](const SharedBody &Body) { return CacheEntryV2(Body, Now); });
     return std::shared_ptr<void>(std::move(V2));
   };
 
   // The V2 stages follow the epoch publication discipline: reads are
   // lock-free loads of the published snapshot (hit statistics are
-  // relaxed atomics bumped in place), writes copy-update-publish under
-  // the payload lock — so a *later* staged transaction can snapshot the
-  // cache from another thread while requests are served, and the
-  // serving path never takes a mutex.
+  // relaxed atomics bumped in place), writes copy-set-publish under
+  // the payload lock (FlashedApp::fillCache, which writes a V2 entry
+  // once the cell is at @2) — so a *later* staged transaction can
+  // snapshot the cache from another thread while requests are served,
+  // and the serving path never takes a mutex.
   FlashedApp *AppPtr = &App;
   auto CacheGetV2 = [AppPtr](std::string Path) -> std::string {
     StateCell *Cell = AppPtr->cacheCell();
     epoch::Guard G;
-    auto *C = Cell->live<const CacheV2>();
-    auto It = C->Entries.find(Path);
-    if (It == C->Entries.end())
+    const CacheEntryV2 *E = Cell->live<const CacheV2>()->Entries.find(Path);
+    if (!E)
       return "";
-    const_cast<CacheEntryV2 &>(It->second).noteHit(nowMs());
+    const_cast<CacheEntryV2 *>(E)->noteHit(nowMs());
     Cell->noteMutation();
-    return *It->second.Body;
+    return *E->Body;
   };
   auto CachePutV2 = [AppPtr](std::string Path, std::string Body) {
-    CacheEntryV2 E;
-    E.Body = std::make_shared<const std::string>(std::move(Body));
-    E.LastAccessMs.store(nowMs(), std::memory_order_relaxed);
-    StateCell *Cell = AppPtr->cacheCell();
-    std::lock_guard<std::mutex> G(Cell->payloadLock());
-    auto Next = std::make_shared<CacheV2>(*Cell->get<CacheV2>());
-    Next->Entries[Path] = std::move(E);
-    Cell->publish(std::move(Next));
+    AppPtr->fillCache(Path,
+                      std::make_shared<const std::string>(std::move(Body)));
   };
   auto CacheStats = [AppPtr]() -> std::string {
     StateCell *Cell = AppPtr->cacheCell();
     epoch::Guard G;
     auto *C = Cell->live<const CacheV2>();
     int64_t Hits = 0;
-    for (const auto &[Path, E] : C->Entries) {
-      (void)Path;
-      Hits += E.hits();
-    }
+    C->Entries.forEach(
+        [&](const std::string &, const CacheEntryV2 &E) { Hits += E.hits(); });
     return formatString("entries=%zu hits=%lld", C->Entries.size(),
                         static_cast<long long>(Hits));
   };

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 using namespace dsu;
 using namespace dsu::flashed;
 
@@ -76,12 +79,13 @@ TEST_F(FlashedAppTest, HeadOmitsBody) {
 }
 
 TEST_F(FlashedAppTest, CachePopulates) {
-  EXPECT_TRUE(App.cacheCell()->get<CacheV1>()->Entries.empty());
+  EXPECT_EQ(App.cacheCell()->get<CacheV1>()->Entries.size(), 0u);
   App.handle(get("/doc.html"));
-  // The fill is a copy-update-publish: it replaces the snapshot rather
+  // The fill is a copy-set-publish: it replaces the snapshot rather
   // than mutating it, so re-read the cell for the post-fill payload.
   auto *C = App.cacheCell()->get<CacheV1>();
-  EXPECT_EQ(C->Entries.count("/doc.html"), 1u);
+  EXPECT_NE(C->Entries.find("/doc.html"), nullptr);
+  EXPECT_EQ(C->Entries.size(), 1u);
 }
 
 TEST_F(FlashedAppTest, V1QueryStringBug) {
@@ -124,13 +128,15 @@ TEST_F(FlashedAppTest, P3MigratesLiveCache) {
   EXPECT_EQ(App.cacheCell()->type()->str(), "%flashed_cache@2");
   auto *V2 = App.cacheCell()->get<CacheV2>();
   ASSERT_EQ(V2->Entries.size(), 2u);
-  EXPECT_EQ(*V2->Entries.at("/doc.html").Body, "<html>doc</html>");
-  EXPECT_EQ(V2->Entries.at("/doc.html").Hits, 0);
+  const CacheEntryV2 *Doc = V2->Entries.find("/doc.html");
+  ASSERT_NE(Doc, nullptr);
+  EXPECT_EQ(*Doc->Body, "<html>doc</html>");
+  EXPECT_EQ(Doc->hits(), 0);
 
   // Hits now count.
   App.handle(get("/doc.html"));
   App.handle(get("/doc.html"));
-  EXPECT_EQ(V2->Entries.at("/doc.html").Hits, 2);
+  EXPECT_EQ(Doc->hits(), 2);
 
   // And the new stats function reports them.
   auto Stats = cantFail(bindUpdateable<std::string()>(
@@ -140,6 +146,38 @@ TEST_F(FlashedAppTest, P3MigratesLiveCache) {
   // Serving still works end to end.
   EXPECT_NE(App.handle(get("/doc.html")).find("200 OK"),
             std::string::npos);
+}
+
+TEST_F(FlashedAppTest, P3MigratesAVolumeCacheSharingEveryBody) {
+  constexpr unsigned Docs = 4096;
+  App.docs().fillSynthetic(Docs, 64);
+  std::vector<std::string> Paths = App.docs().paths();
+  ASSERT_EQ(Paths.size(), Docs + 4);
+  EXPECT_TRUE(std::is_sorted(Paths.begin(), Paths.end()));
+  EXPECT_EQ(std::adjacent_find(Paths.begin(), Paths.end()), Paths.end());
+
+  // Warm the v1 cache with every document, one miss publish each.
+  for (const std::string &P : Paths)
+    ASSERT_NE(App.handle(get(P)).find("200 OK"), std::string::npos) << P;
+  const CacheV1 *V1 = App.cacheCell()->get<CacheV1>();
+  ASSERT_EQ(V1->Entries.size(), Paths.size());
+  std::map<std::string, const std::string *> Bodies;
+  V1->Entries.forEach([&](const std::string &P, const SharedBody &B) {
+    Bodies[P] = B.get();
+  });
+  // Keep the v1 snapshot alive across the migration to compare with it.
+  std::shared_ptr<void> KeepV1 = App.cacheCell()->raw();
+
+  applyPatch(makePatchP3(App));
+
+  const CacheV2 *V2 = App.cacheCell()->get<CacheV2>();
+  ASSERT_EQ(V2->Entries.size(), Paths.size());
+  for (const std::string &P : Paths) {
+    const CacheEntryV2 *E = V2->Entries.find(P);
+    ASSERT_NE(E, nullptr) << P;
+    EXPECT_EQ(E->Body.get(), Bodies[P]) << P << ": body copied, not shared";
+    EXPECT_EQ(E->hits(), 0) << P;
+  }
 }
 
 TEST_F(FlashedAppTest, P4ShimsSignatureChange) {
