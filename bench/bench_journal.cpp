@@ -130,7 +130,7 @@ ReplayPoint benchReplay(unsigned L) {
                                        "bench_journal"),
                          "load patch");
       StagedUpdate U =
-          cantFail(RT.stageJournaled(std::move(P), Seq), "stage");
+          cantFail(RT.stage(std::move(P), Seq), "stage");
       cantFail(U.commit(), "commit");
     }
     cantFail(J->sealCleanShutdown(), "clean shutdown");

@@ -201,25 +201,10 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
   // stages.  A transaction that exceeds its deadline is finalized as
   // TimedOut — a terminal, collectable phase — instead of holding the
   // head of the FIFO queue while every later update waits behind it.
-  auto Overdue = [&] {
-    return Tx.StageDeadline.time_since_epoch().count() != 0 &&
-           std::chrono::steady_clock::now() > Tx.StageDeadline;
-  };
   auto FailTimedOut = [&](const char *Stage) {
-    Error E = Error::make(
-        ErrorCode::EC_Timeout,
-        "tx %llu (%s) staging exceeded its watchdog deadline during %s; "
-        "aborted so it cannot head-of-line-block the update queue",
-        static_cast<unsigned long long>(Tx.id()), PatchId.c_str(), Stage);
-    {
-      std::lock_guard<std::mutex> G(Tx.RecLock);
-      Tx.Rec.StageMs = Total.elapsedMs();
-      Tx.Rec.TotalMs = Tx.Rec.StageMs;
-    }
-    finalize(Tx, UpdatePhase::TimedOut, &E);
-    return E;
+    return timeOutStaging(Tx, Stage, Total.elapsedMs());
   };
-  if (Overdue())
+  if (Tx.stagingOverdue())
     return FailTimedOut("queueing");
 
   // Stage 1: verification.  VTAL-backed patches are machine-checked;
@@ -249,10 +234,10 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
     uint64_t Slice = std::min<uint64_t>(Left, 5);
     std::this_thread::sleep_for(std::chrono::milliseconds(Slice));
     Left -= Slice;
-    if (Overdue())
+    if (Tx.stagingOverdue())
       break;
   }
-  if (Overdue())
+  if (Tx.stagingOverdue())
     return FailTimedOut("verification");
 
   // Stage 2: introduce the patch's new named types and transformers.
@@ -289,7 +274,7 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
       return Fail(PlanOrErr.takeError());
     Tx.Plan = std::move(*PlanOrErr);
   }
-  if (Overdue())
+  if (Tx.stagingOverdue())
     return FailTimedOut("link preparation");
 
   // Union of bumps demanded by signature changes and bumps declared via
@@ -314,7 +299,7 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
       return Fail(Swap.takeError().withContext("patch " + PatchId));
     Tx.Swap = std::move(*Swap);
   }
-  if (Overdue())
+  if (Tx.stagingOverdue())
     return FailTimedOut("the state-transform build");
 
   {
@@ -327,8 +312,7 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
   // no types and ships no transformers is the paper's cheap common case
   // — a pure code swap — and commits as a *rolling* update, per-worker
   // at each worker's own quiescent point, with no cross-worker barrier.
-  bool CodeOnly =
-      Tx.Bumps.empty() && Tx.Swap.empty() && Tx.P.Transformers.empty();
+  bool CodeOnly = Tx.planIsCodeOnly();
   Tx.CodeOnly.store(CodeOnly, std::memory_order_release);
 
   // Cross-check the analyzer's code-only prediction against the actual
@@ -380,15 +364,24 @@ Error Runtime::stageInto(UpdateTransaction &Tx) {
   return Error::success();
 }
 
-Expected<StagedUpdate> Runtime::stage(Patch P) {
-  std::shared_ptr<UpdateTransaction> Tx = makeTransaction(P.Id);
-  Tx->P = std::move(P);
-  if (Error E = stageInto(*Tx))
-    return E;
-  return StagedUpdate(this, std::move(Tx));
+Error Runtime::timeOutStaging(UpdateTransaction &Tx, const char *During,
+                              double StageMs) {
+  Error E = Error::make(
+      ErrorCode::EC_Timeout,
+      "tx %llu (%s) staging exceeded its watchdog deadline during %s; "
+      "aborted so it cannot head-of-line-block the update queue",
+      static_cast<unsigned long long>(Tx.id()), Tx.patchId().c_str(),
+      During);
+  {
+    std::lock_guard<std::mutex> G(Tx.RecLock);
+    Tx.Rec.StageMs = StageMs;
+    Tx.Rec.TotalMs = StageMs;
+  }
+  finalize(Tx, UpdatePhase::TimedOut, &E);
+  return E;
 }
 
-Expected<StagedUpdate> Runtime::stageJournaled(Patch P, uint64_t JournalSeq) {
+Expected<StagedUpdate> Runtime::stage(Patch P, uint64_t JournalSeq) {
   std::shared_ptr<UpdateTransaction> Tx = makeTransaction(P.Id);
   // The Intent sequence must be on the transaction before stageInto
   // runs: a staging failure finalizes inside the pipeline, and that
@@ -420,20 +413,15 @@ void Runtime::requestUpdate(Patch P) {
   (void)stageInto(*Tx); // a failure is recorded in the update log
 }
 
-Error Runtime::requestUpdateFromFile(const std::string &Path) {
-  Expected<Patch> P = loadPatchFile(Types, Exports, Path);
-  if (!P)
-    return P.takeError();
-  requestUpdate(std::move(*P));
-  return Error::success();
-}
+// --- Commit --------------------------------------------------------------
 
-// --- Commit (the update thread) ------------------------------------------
-
-
-Error Runtime::commitStagedTx(const std::shared_ptr<UpdateTransaction> &TxP) {
+Error Runtime::commitStagedTx(const std::shared_ptr<UpdateTransaction> &TxP,
+                              uint64_t CanaryMask,
+                              std::vector<RollEntry *> *GatedOut,
+                              bool *NeedsBarrier) {
   std::lock_guard<std::mutex> G(CommitLock);
-  return commitStagedTxLocked(TxP, /*Rolling=*/false, nullptr);
+  return commitStagedTxLocked(TxP, /*Rolling=*/CanaryMask != UINT64_MAX,
+                              NeedsBarrier, CanaryMask, GatedOut);
 }
 
 Error Runtime::commitStagedTxLocked(
@@ -459,11 +447,11 @@ Error Runtime::commitStagedTxLocked(
                        updatePhaseName(Expect));
 
   std::string PatchId = Tx.patchId();
+  const char *Mode = CanaryMask != UINT64_MAX ? "canary"
+                     : Rolling                ? "rolling"
+                                              : "barrier";
   trace::ScopedUpdateId TraceId(Tx.id());
-  trace::Span CommitSp("commit",
-                       CanaryMask != UINT64_MAX ? "canary"
-                       : Rolling                ? "rolling"
-                                                : "barrier");
+  trace::Span CommitSp("commit", Mode);
   Timer CommitTimer;
   auto FailCommit = [&](Error E) {
     {
@@ -509,7 +497,7 @@ Error Runtime::commitStagedTxLocked(
   // commit that landed in between changed the required bumps, demote the
   // transaction back to Ready and let the caller arm the barrier —
   // nothing has been mutated yet.
-  if (Rolling && (!Tx.Bumps.empty() || !Tx.Swap.empty())) {
+  if (Rolling && !Tx.planIsCodeOnly()) {
     Tx.CodeOnly.store(false, std::memory_order_release);
     Tx.Phase.store(UpdatePhase::Ready, std::memory_order_release);
     if (NeedsBarrier)
@@ -570,7 +558,6 @@ Error Runtime::commitStagedTxLocked(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - Tx.ReadyAt)
             .count());
-    StageToCommit.note(StageToCommitUs);
     trace::notePhase(trace::Phase::QueueWait, StageToCommitUs);
     // The queue wait is a real interval whose endpoints live on two
     // threads (staging finished -> this commit landed); record it as a
@@ -591,82 +578,18 @@ Error Runtime::commitStagedTxLocked(
     Tx.Rec.CommitMs = CommitMs;
     Tx.Rec.TotalMs = Tx.Rec.StageMs + CommitMs;
     Tx.Rec.TransformMs = Tx.Rec.BuildMs + StateMark;
-    Tx.Rec.CommitMode = CanaryMask != UINT64_MAX ? "canary"
-                        : Rolling                ? "rolling"
-                                                 : "barrier";
+    Tx.Rec.CommitMode = Mode;
     Tx.Rec.StageToCommitUs = StageToCommitUs;
     Done = Tx.Rec;
   }
   finalize(Tx, UpdatePhase::Committed, nullptr);
   DSU_LOG_INFO("patch %s committed (%s): staged %.3fms (verify %.3f, "
                "prepare %.3f, build %.3f) + pause %.3fms%s",
-               PatchId.c_str(), Rolling ? "rolling" : "barrier",
+               PatchId.c_str(), Mode,
                Done.StageMs, Done.VerifyMs, Done.PrepareMs, Done.BuildMs,
                Done.CommitMs,
                Done.StateRebuilt ? " [state rebuilt at commit]" : "");
   return Error::success();
-}
-
-// --- Rolling (barrier-free) commits of code-only patches -----------------
-
-Runtime::PendingCommit Runtime::pendingCommitMode() const {
-  // While a canary rollout is in flight the rollout controller owns the
-  // commit pipeline: workers must not commit (or collect) anything, or
-  // a stacked commit would corrupt the rollback history the controller
-  // relies on for auto-revert.
-  if (RolloutActive.load(std::memory_order_acquire))
-    return PendingCommit::None;
-  std::shared_ptr<UpdateTransaction> Front = Queue.front();
-  if (!Front)
-    return PendingCommit::None;
-  if (Front->HeldForRollout.load(std::memory_order_acquire))
-    return PendingCommit::None;
-  UpdatePhase P = Front->phase();
-  if (P == UpdatePhase::Staging || P == UpdatePhase::Committing)
-    return PendingCommit::None;
-  if (P != UpdatePhase::Ready)
-    return PendingCommit::Rolling; // terminal: collection needs no barrier
-  return Front->CodeOnly.load(std::memory_order_acquire)
-             ? PendingCommit::Rolling
-             : PendingCommit::Barrier;
-}
-
-unsigned Runtime::commitRollingFront() {
-  if (RolloutActive.load(std::memory_order_acquire))
-    return 0; // a canary rollout owns the commit pipeline
-  std::lock_guard<std::mutex> G(CommitLock);
-  if (ActivationTracker::currentDepth() != 0)
-    return 0; // not a quiescent point on this thread; try again later
-  flushRetiredBindingsLocked();
-  unsigned Committed = 0;
-  while (true) {
-    std::shared_ptr<UpdateTransaction> Tx =
-        Queue.popActionableIf([](const UpdateTransaction &T) {
-          if (T.HeldForRollout.load(std::memory_order_acquire))
-            return false; // the rollout controller commits this one
-          return T.phase() != UpdatePhase::Ready ||
-                 T.CodeOnly.load(std::memory_order_acquire);
-        });
-    if (!Tx)
-      break;
-    if (Tx->phase() != UpdatePhase::Ready)
-      continue; // terminal (failed/aborted): already logged, collect
-    bool NeedsBarrier = false;
-    Error E = commitStagedTxLocked(Tx, /*Rolling=*/true, &NeedsBarrier);
-    if (NeedsBarrier) {
-      // Reclassified at revalidation: back to the front, in its
-      // original commit-order position, for the barrier to take.
-      Queue.pushFront(std::move(Tx));
-      break;
-    }
-    if (E)
-      DSU_LOG_WARN("rolling update rejected: tx %llu (%s): %s",
-                   static_cast<unsigned long long>(Tx->id()),
-                   Tx->patchId().c_str(), E.str().c_str());
-    else
-      ++Committed;
-  }
-  return Committed;
 }
 
 void Runtime::flushRetiredBindings() {
@@ -688,15 +611,6 @@ void Runtime::maybeFlushRetiredBindings() {
   if (ActivationTracker::currentDepth() != 0)
     return;
   flushRetiredBindingsLocked();
-}
-
-Error Runtime::commitCanaryFront(const std::shared_ptr<UpdateTransaction> &Tx,
-                                 uint64_t CanaryMask,
-                                 std::vector<RollEntry *> &GatedOut,
-                                 bool *NeedsBarrier) {
-  std::lock_guard<std::mutex> G(CommitLock);
-  return commitStagedTxLocked(Tx, /*Rolling=*/true, NeedsBarrier, CanaryMask,
-                              &GatedOut);
 }
 
 void Runtime::annotateRollout(const std::shared_ptr<UpdateTransaction> &Tx,
@@ -790,11 +704,37 @@ Error Runtime::abortStagedTx(const std::shared_ptr<UpdateTransaction> &TxP) {
   }
 }
 
-unsigned Runtime::updatePoint() {
+// --- The update point ------------------------------------------------------
+
+Runtime::FrontNeed Runtime::frontNeed() const {
+  // While a canary rollout is in flight the rollout controller owns the
+  // commit pipeline: nothing else may commit (or collect) anything, or a
+  // stacked commit would corrupt the rollback history the controller
+  // relies on for auto-revert.
+  if (RolloutActive.load(std::memory_order_acquire))
+    return FrontNeed::None;
+  std::shared_ptr<UpdateTransaction> Front = Queue.front();
+  if (!Front || !UpdateQueue::actionable(*Front) ||
+      Front->HeldForRollout.load(std::memory_order_acquire))
+    return FrontNeed::None; // the rollout controller commits a held one
+  return Front->needsBarrier() ? FrontNeed::Barrier : FrontNeed::Rolling;
+}
+
+const char *Runtime::pendingCommitName() const {
+  switch (frontNeed()) {
+  case FrontNeed::Rolling:
+    return "rolling";
+  case FrontNeed::Barrier:
+    return "barrier";
+  case FrontNeed::None:
+    break;
+  }
+  return "none";
+}
+
+unsigned Runtime::updatePoint(Quiescence Q, bool *NeedsBarrier) {
   if (!Queue.pending())
     return 0;
-  if (RolloutActive.load(std::memory_order_acquire))
-    return 0; // a canary rollout owns the commit pipeline
   if (ActivationTracker::currentDepth() != 0) {
     // Updateable code is active on this thread: not a safe point.  The
     // transactions stay queued for the next (quiescent) update point,
@@ -803,20 +743,51 @@ unsigned Runtime::updatePoint() {
                   ActivationTracker::currentDepth());
     return 0;
   }
+  FrontNeed Need = frontNeed();
+  if (Need == FrontNeed::None)
+    return 0;
+  bool Rolling = Q == Quiescence::Worker;
+  if (Rolling && Need == FrontNeed::Barrier) {
+    // Decided before the commit lock: arming the barrier costs a worker
+    // this look at the front and nothing more.
+    if (NeedsBarrier)
+      *NeedsBarrier = true;
+    return 0;
+  }
+  std::lock_guard<std::mutex> G(CommitLock);
+  if (Rolling)
+    flushRetiredBindingsLocked();
+  auto TakeAny = [](const UpdateTransaction &T) {
+    return !T.HeldForRollout.load(std::memory_order_acquire);
+  };
+  auto TakeRolling = [](const UpdateTransaction &T) {
+    return !T.HeldForRollout.load(std::memory_order_acquire) &&
+           !T.needsBarrier();
+  };
+  bool (*Take)(const UpdateTransaction &) = Rolling ? +TakeRolling : +TakeAny;
   unsigned Committed = 0;
-  while (std::shared_ptr<UpdateTransaction> Tx =
-             Queue.popActionableIf([](const UpdateTransaction &T) {
-               return !T.HeldForRollout.load(std::memory_order_acquire);
-             })) {
+  while (std::shared_ptr<UpdateTransaction> Tx = Queue.popActionableIf(Take)) {
     if (Tx->phase() != UpdatePhase::Ready)
       continue; // stage-failed or aborted: already recorded, just collect
-    if (Error E = commitStagedTx(Tx))
+    bool Demoted = false;
+    Error E = commitStagedTxLocked(Tx, Rolling, &Demoted);
+    if (Demoted) {
+      // Reclassified at revalidation: back to the front, in its
+      // original commit-order position, for the barrier to take.
+      Queue.pushFront(std::move(Tx));
+      break;
+    }
+    if (E)
       DSU_LOG_WARN("update rejected: tx %llu (%s): %s",
                    static_cast<unsigned long long>(Tx->id()),
                    Tx->patchId().c_str(), E.str().c_str());
     else
       ++Committed;
   }
+  // A worker that stopped at a front needing the barrier says so now,
+  // rather than leaving it for the next idle point to notice.
+  if (Rolling && NeedsBarrier && frontNeed() == FrontNeed::Barrier)
+    *NeedsBarrier = true;
   return Committed;
 }
 

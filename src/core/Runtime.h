@@ -25,6 +25,14 @@
 /// from EC_Invalid — naming the discipline broken, so operator surfaces
 /// can answer "retry at a quiescent point".
 ///
+/// updatePoint() is the one place that decides how a transaction
+/// commits.  Its caller says how quiescent it is: a single-threaded
+/// program (or the serving plane's barrier committer) has global
+/// quiescence and commits everything; a lone pool worker commits only
+/// code-only fronts, as rolling updates, and is told when the front
+/// needs the cross-worker barrier instead.  A canary rollout commits
+/// through the RolloutController, which drives the same commit body.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DSU_CORE_RUNTIME_H
@@ -39,7 +47,6 @@
 #include "runtime/Updateable.h"
 #include "state/StateCell.h"
 #include "state/Transform.h"
-#include "support/Histogram.h"
 #include "types/Type.h"
 
 #include <memory>
@@ -121,14 +128,13 @@ public:
   /// mutation.  Returns the handle whose commit() (at an update point)
   /// or abort() completes the transaction.  A staging failure is
   /// recorded in the update log and returned.  Callable from any thread.
-  Expected<StagedUpdate> stage(Patch P);
-
-  /// stage() for boot-time replay: pins the durable journal Intent
-  /// \p JournalSeq on the transaction *before* the pipeline runs, so
+  ///
+  /// Boot-time replay passes the durable journal Intent \p JournalSeq:
+  /// it is pinned on the transaction *before* the pipeline runs, so
   /// finalize() seals that Intent whatever the outcome — a staging
   /// failure and a crash mid-pipeline are both accounted against the
-  /// journal's two-phase protocol.
-  Expected<StagedUpdate> stageJournaled(Patch P, uint64_t JournalSeq);
+  /// journal's two-phase protocol.  0 = not journaled.
+  Expected<StagedUpdate> stage(Patch P, uint64_t JournalSeq = 0);
 
   /// Queues a staged transaction for the next update point (FIFO with
   /// everything else queued).
@@ -139,15 +145,33 @@ public:
   /// failed transaction never blocks the queue.
   void requestUpdate(Patch P);
 
-  /// Loads a patch artifact and stages + queues it.
-  Error requestUpdateFromFile(const std::string &Path);
+  /// How much of the program the caller of updatePoint() knows to be
+  /// quiescent.
+  enum class Quiescence {
+    /// No other thread runs updateable code: a single-threaded program
+    /// at its own update point, or the serving plane's barrier committer
+    /// with every worker parked.  Everything actionable commits.
+    Global,
+    /// Only the calling pool worker is quiescent; the others keep
+    /// serving.  Code-only transactions commit as rolling updates —
+    /// bindings swing behind epoch redirection and each worker adopts
+    /// them at its own next quiescent point, so nobody parks.  The first
+    /// transaction that migrates state or bumps types stays queued for
+    /// the barrier.
+    Worker,
+  };
 
-  /// The update point.  Near-free when nothing is actionable; otherwise
-  /// commits every *ready* transaction at the front of the queue, in
-  /// FIFO order, pausing only for commit cost (binding swings + state
-  /// swaps) — never for verification or link preparation, which already
-  /// ran at stage time.  Returns the number of transactions committed.
-  unsigned updatePoint();
+  /// The update point.  Near-free when nothing is actionable (one
+  /// relaxed load); otherwise commits the actionable transactions at the
+  /// front of the queue, in FIFO order, pausing only for commit cost
+  /// (binding swings + state swaps) — never for verification or link
+  /// preparation, which already ran at stage time.  Returns the number
+  /// of transactions committed.  With Quiescence::Worker, *NeedsBarrier
+  /// (when given) is set when the front needs every worker parked: the
+  /// caller arms the barrier, whose committer calls updatePoint() again
+  /// with global quiescence.
+  unsigned updatePoint(Quiescence Q = Quiescence::Global,
+                       bool *NeedsBarrier = nullptr);
 
   /// Stages and immediately commits one patch (the caller asserts this
   /// is a safe point on the update thread).  Refused with EC_Busy when
@@ -157,22 +181,12 @@ public:
   /// True when a transaction awaits the next update point.
   bool updatePending() const { return Queue.pending(); }
 
-  /// How the next actionable transaction wants to commit: Rolling for
-  /// code-only patches (and terminal transactions awaiting collection)
-  /// — no global quiescence needed — Barrier for anything that migrates
-  /// state or bumps types, None when nothing is actionable.  The
-  /// multi-core serving plane consults this at each worker's idle point
-  /// to decide between commitRollingFront() and arming the barrier.
-  enum class PendingCommit { None, Rolling, Barrier };
-  PendingCommit pendingCommitMode() const;
-
-  /// Commits every code-only transaction at the queue front as rolling
-  /// updates — bindings swing behind epoch redirection, each reader
-  /// thread adopts the new code at its own quiescent point, no worker
-  /// parks.  Stops at the first transaction that needs the barrier
-  /// (left at the front).  Callable from any quiescent thread; commits
-  /// are serialized internally.  Returns transactions committed.
-  unsigned commitRollingFront();
+  /// How the next update point would commit the queue front: "rolling"
+  /// (code-only, or terminal and awaiting collection), "barrier" (it
+  /// migrates state or bumps types), or "none" (nothing actionable, or
+  /// a canary rollout owns the commit plane).  /admin/status reports it
+  /// as pending_commit.
+  const char *pendingCommitName() const;
 
   /// Successfully committed rolling (barrier-free) updates.
   uint64_t rollingCommits() const {
@@ -220,11 +234,6 @@ public:
   /// serving path — when one does.  This is how a slot's single-load
   /// fast path recovers without waiting for another commit.
   void maybeFlushRetiredBindings();
-
-  /// Stage->commit latency of committed updates (microseconds).
-  const LatencyHistogram &stageToCommitLatency() const {
-    return StageToCommit;
-  }
 
   /// Id of the transaction at the queue front (0 when empty).  The
   /// serving plane tags its barrier-park and adoption trace spans with
@@ -310,17 +319,6 @@ private:
 
   std::shared_ptr<UpdateTransaction> makeTransaction(std::string PatchId);
 
-  /// Commits a held-for-rollout transaction as a canary-gated rolling
-  /// update: only workers in \p CanaryMask adopt the new bindings; the
-  /// published (gated) RollEntries are appended to \p GatedOut for the
-  /// RolloutController to resolve.  Demotes to *NeedsBarrier exactly
-  /// like a plain rolling commit when revalidation discovers state
-  /// migration.
-  Error commitCanaryFront(const std::shared_ptr<UpdateTransaction> &Tx,
-                          uint64_t CanaryMask,
-                          std::vector<RollEntry *> &GatedOut,
-                          bool *NeedsBarrier);
-
   /// Records a rollout verdict ("promoted" / "rolled-back") on \p Tx's
   /// live record and on its already-appended update-log entry, so the
   /// verdict is visible in GET /admin/updates.
@@ -338,20 +336,39 @@ private:
   /// record appended to the log.
   Error stageInto(UpdateTransaction &Tx);
 
-  /// Commits one ready transaction on the calling (update) thread.
-  Error commitStagedTx(const std::shared_ptr<UpdateTransaction> &Tx);
+  /// The staging watchdog's one exit: finalizes \p Tx as TimedOut with
+  /// the reason every watchdog timeout gives, naming the stage it was
+  /// caught \p During, and records \p StageMs as its staging time.
+  Error timeOutStaging(UpdateTransaction &Tx, const char *During,
+                       double StageMs);
+
+  /// Commits one ready transaction, serialized against every other
+  /// committer.  Without a \p CanaryMask the caller asserts global
+  /// quiescence (the barrier form: StagedUpdate::commit, a rollout's
+  /// barrier fallback).  With one, the transaction commits as a
+  /// canary-gated rolling update: only workers in the mask adopt the new
+  /// bindings, and the gated RollEntries are appended to \p GatedOut for
+  /// the RolloutController to resolve; it sets *NeedsBarrier, like any
+  /// rolling commit, when revalidation finds state to migrate.
+  Error commitStagedTx(const std::shared_ptr<UpdateTransaction> &Tx,
+                       uint64_t CanaryMask = UINT64_MAX,
+                       std::vector<RollEntry *> *GatedOut = nullptr,
+                       bool *NeedsBarrier = nullptr);
 
   /// The commit body, with committers already serialized by CommitLock.
   /// With \p Rolling set, the binding swings go through the epoch
   /// redirection instead of assuming global quiescence; if commit-time
   /// revalidation discovers the plan is no longer code-only, the
   /// transaction is returned to Ready, *NeedsBarrier is set, and no
-  /// program state changes.  \p CanaryMask / \p GatedOut thread the
-  /// canary gate through to Linker::commit (see commitCanaryFront).
+  /// program state changes.
   Error commitStagedTxLocked(const std::shared_ptr<UpdateTransaction> &Tx,
                              bool Rolling, bool *NeedsBarrier,
                              uint64_t CanaryMask = UINT64_MAX,
                              std::vector<RollEntry *> *GatedOut = nullptr);
+
+  /// What the queue front asks of the next update point.
+  enum class FrontNeed { None, Rolling, Barrier };
+  FrontNeed frontNeed() const;
 
   /// Registers an abort request; see StagedUpdate::abort().
   Error abortStagedTx(const std::shared_ptr<UpdateTransaction> &Tx);
@@ -384,15 +401,14 @@ private:
   std::atomic<uint64_t> VerifyFunctionsTotal{0};
   std::atomic<uint64_t> AnalysisFindingsTotal{0};
   std::atomic<bool> AnalysisGate{true};
-  LatencyHistogram StageToCommit;
 
   /// Staging watchdog deadline (ms; 0 = off), applied to transactions at
   /// creation time.
   std::atomic<uint64_t> StagingDeadlineMs{0};
 
-  /// Set while a RolloutController drives the commit plane; worker-side
-  /// commit paths (updatePoint, commitRollingFront, pendingCommitMode)
-  /// stand down so no commit can stack on an unresolved canary gate.
+  /// Set while a RolloutController drives the commit plane; the update
+  /// point stands down so no commit can stack on an unresolved canary
+  /// gate.
   std::atomic<bool> RolloutActive{false};
 
   /// Bumped on every commit; a transaction prepared against an older

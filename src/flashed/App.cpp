@@ -392,33 +392,6 @@ void FlashedApp::handleStaticInto(const RequestHead &Head,
 
 namespace {
 
-void jsonEscapeTo(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-}
-
 void appendRecordJson(std::string &J, const UpdateRecord &R) {
   J += formatString("{\"tx\": %llu, \"patch\": \"",
                     static_cast<unsigned long long>(R.TxId));
@@ -637,17 +610,6 @@ void FlashedApp::handleAdmin(const RequestHead &Head, std::string_view Raw,
   }
 
   if (Head.Method == "GET" && PathOnly == "/admin/status") {
-    const char *PendingMode = "none";
-    switch (RT.pendingCommitMode()) {
-    case Runtime::PendingCommit::Rolling:
-      PendingMode = "rolling";
-      break;
-    case Runtime::PendingCommit::Barrier:
-      PendingMode = "barrier";
-      break;
-    case Runtime::PendingCommit::None:
-      break;
-    }
     uint64_t GlobalEpoch = epoch::domain().globalEpoch();
     std::string J = formatString(
         "{\"updates_applied\": %u, \"queue_depth\": %zu, "
@@ -657,7 +619,7 @@ void FlashedApp::handleAdmin(const RequestHead &Head, std::string_view Raw,
         "\"verify_functions_total\": %llu, "
         "\"analysis_findings_total\": %llu",
         RT.updatesApplied(), RT.queueDepth(),
-        RT.updatePending() ? "true" : "false", PendingMode,
+        RT.updatePending() ? "true" : "false", RT.pendingCommitName(),
         static_cast<unsigned long long>(RT.rollingCommits()),
         static_cast<unsigned long long>(GlobalEpoch), Admin->backlog(),
         static_cast<unsigned long long>(requestsHandled()),
@@ -1083,7 +1045,10 @@ std::string FlashedApp::renderMetrics() const {
                     static_cast<unsigned long long>(
                         epoch::domain().globalEpoch()));
   {
-    const LatencyHistogram &H = RT.stageToCommitLatency();
+    // The same samples as dsu_update_phase_us{phase="queue_wait"}, so
+    // process-wide like every phase histogram.
+    const LatencyHistogram &H =
+        trace::phaseHistogram(trace::Phase::QueueWait);
     T += "# HELP dsu_stage_to_commit_us Staging-complete to commit "
          "latency of dynamic updates, microseconds.\n"
          "# TYPE dsu_stage_to_commit_us histogram\n";

@@ -313,22 +313,15 @@ void ReactorPool::maybeEnterBarrier(unsigned Idx) {
     // updateability at each worker's update point.
     if (!TheRuntime || !TheRuntime->updatePending())
       return;
-    // The rolling/barrier decision.  A code-only front commits right
-    // here, on whichever worker noticed it first, with *zero* parking:
-    // bindings swing behind epoch redirection and every worker (this
-    // one included) adopts them at its own next quiescent point.  Only
-    // a state-migrating front arms the barrier.
-    switch (TheRuntime->pendingCommitMode()) {
-    case Runtime::PendingCommit::None:
+    // The runtime decides.  A code-only front commits right here, on
+    // whichever worker noticed it first, with *zero* parking: bindings
+    // swing behind epoch redirection and every worker (this one
+    // included) adopts them at its own next quiescent point.  Only a
+    // front that migrates state comes back as NeedsBarrier.
+    bool NeedsBarrier = false;
+    TheRuntime->updatePoint(Runtime::Quiescence::Worker, &NeedsBarrier);
+    if (!NeedsBarrier)
       return;
-    case Runtime::PendingCommit::Rolling:
-      TheRuntime->commitRollingFront();
-      // Anything left at the front now needs the barrier; the next
-      // idle point (any worker's) arms it.
-      return;
-    case Runtime::PendingCommit::Barrier:
-      break;
-    }
     {
       std::lock_guard<std::mutex> L(BarrierMu);
       if (Stopping)
@@ -399,8 +392,8 @@ void ReactorPool::commitRound() {
     Op->Result = Op->Fn();
     Op->Done = true;
   }
-  if (TheRuntime && TheRuntime->updatePending())
-    TheRuntime->updatePoint();
+  if (TheRuntime)
+    TheRuntime->updatePoint(Runtime::Quiescence::Global);
   Armed = false;
   ArmedHint.store(false, std::memory_order_relaxed);
   ++Generation;

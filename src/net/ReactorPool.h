@@ -15,10 +15,13 @@
 ///
 /// Barrier protocol:
 ///
-///   1. *Arm.*  A worker that observes a pending staged update at its
-///      idle point — or any thread calling runQuiescent() — arms the
-///      barrier and wakes every reactor's eventfd, so workers blocked
-///      in epoll_wait reach their update point promptly.
+///   1. *Arm.*  At its idle point a worker calls the runtime's update
+///      point as a lone quiescent worker: code-only updates commit
+///      there as rolling updates, with nobody parking.  When the runtime
+///      reports that the front needs every worker quiescent — or when
+///      any thread calls runQuiescent() — the barrier is armed and every
+///      reactor's eventfd woken, so workers blocked in epoll_wait reach
+///      their update point promptly.
 ///   2. *Park.*  Each worker, at its next idle point, parks: it
 ///      increments the arrival count and blocks.  A worker stuck inside
 ///      a long request cannot park, so the barrier *waits* for it —
@@ -27,10 +30,10 @@
 ///   3. *Commit.*  The last worker to arrive is the designated
 ///      committer: alone, with every worker quiescent, it runs the
 ///      queued runQuiescent() operations and the runtime's
-///      updatePoint() — the PR 3 generation-validated commit — exactly
-///      once.  Rollback and EC_Busy semantics are unchanged: the
-///      committer thread is quiescent by construction, so the
-///      single-updater discipline holds trivially.
+///      updatePoint() with global quiescence — the generation-validated
+///      commit — exactly once.  Rollback and EC_Busy semantics are
+///      unchanged: the committer thread is quiescent by construction, so
+///      the single-updater discipline holds trivially.
 ///   4. *Release.*  The committer bumps the barrier generation and
 ///      wakes the parked workers; each records its park duration in
 ///      its pause histogram and resumes serving.
@@ -84,9 +87,10 @@ public:
   ReactorPool(const ReactorPool &) = delete;
   ReactorPool &operator=(const ReactorPool &) = delete;
 
-  /// Wires the pool to \p RT: workers arm the barrier when
-  /// RT.updatePending() turns true at an idle point, and the barrier's
-  /// committer runs RT.updatePoint().  Call before start().
+  /// Wires the pool to \p RT: each worker runs RT.updatePoint() as a
+  /// lone quiescent worker at its idle point and arms the barrier when
+  /// the runtime says the front needs it; the barrier's committer runs
+  /// RT.updatePoint() with global quiescence.  Call before start().
   void setUpdateRuntime(Runtime &RT) { TheRuntime = &RT; }
 
   /// Binds all listeners (the first picks the shared port when
@@ -165,9 +169,9 @@ private:
   };
 
   void workerMain(unsigned Idx);
-  /// The per-worker update point: commits code-only fronts as rolling
-  /// updates (no parking), or arms the barrier and parks for
-  /// state-migrating ones.
+  /// The per-worker update point: lets the runtime commit what it can
+  /// without parking, and arms the barrier and parks when it reports
+  /// that the front needs every worker quiescent.
   void maybeEnterBarrier(unsigned Idx);
   /// Parks worker \p Idx until the current round is committed.  Caller
   /// must not hold BarrierMu.

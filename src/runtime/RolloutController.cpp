@@ -22,6 +22,19 @@ double elapsedMsSince(std::chrono::steady_clock::time_point Since) {
       .count();
 }
 
+/// Lowers every gate in \p Gated inside one epoch advance: each worker
+/// sees the outcome (promoted or reverted) at its own next quiescent
+/// point, for all entries at once — exactly like an ungated rolling
+/// commit.
+void resolveGates(std::vector<RollEntry *> &Gated) {
+  epoch::domain().advanceWith(
+      [](uint64_t E, void *Raw) {
+        for (RollEntry *R : *static_cast<std::vector<RollEntry *> *>(Raw))
+          R->PromoteEpoch.store(E, std::memory_order_release);
+      },
+      &Gated);
+}
+
 } // namespace
 
 RolloutController::RolloutController(Runtime &RT, Hooks H)
@@ -234,7 +247,7 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
       R.PatchId = Tx->patchId();
     });
     bool NeedsBarrier = false;
-    Error E = RT.commitCanaryFront(Tx, Mask, Gated, &NeedsBarrier);
+    Error E = RT.commitStagedTx(Tx, Mask, &Gated, &NeedsBarrier);
     if (NeedsBarrier) {
       // Revalidation discovered state migration; fall back to the
       // degenerate barrier form below.
@@ -360,37 +373,29 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   trace::Recorder::instance().instant(
       "rollout", TripReason.empty() ? "verdict.promoted" : "verdict.rolled_back",
       static_cast<uint64_t>(DetectMs * 1000.0));
+  // The verdict's record fields, the same for both outcomes.
+  auto FillVerdict = [&](RolloutRecord &R, const char *Verdict) {
+    R.State = Verdict;
+    R.Verdict = Verdict;
+    R.DetectMs = DetectMs;
+    R.CanaryRequests = DCan.Requests;
+    R.CanaryServes = DCan.Serves;
+    R.CanaryErrors = DCan.Errors;
+    R.CanaryTraps = Traps;
+    R.ControlRequests = DCtl.Requests;
+    R.ControlServes = DCtl.Serves;
+    R.ControlErrors = DCtl.Errors;
+    R.CanaryErrorRate = CanRate;
+    R.ControlErrorRate = CtlRate;
+  };
   if (TripReason.empty()) {
-    if (!Gated.empty()) {
-      // Promote: lower every gate inside one epoch advance — control
-      // workers adopt the patch at their own next quiescent point,
-      // exactly like an ungated rolling commit.
-      struct PromoteCtx {
-        std::vector<RollEntry *> *Entries;
-      } Ctx{&Gated};
-      epoch::domain().advanceWith(
-          [](uint64_t E, void *Raw) {
-            auto *C = static_cast<PromoteCtx *>(Raw);
-            for (RollEntry *R : *C->Entries)
-              R->PromoteEpoch.store(E, std::memory_order_release);
-          },
-          &Ctx);
-    }
+    // Promote: control workers adopt the patch at their own next
+    // quiescent point.
+    if (!Gated.empty())
+      resolveGates(Gated);
     RT.annotateRollout(Tx, "promoted", "");
-    setRecord(RecIdx, [&](RolloutRecord &R) {
-      R.State = "promoted";
-      R.Verdict = "promoted";
-      R.DetectMs = DetectMs;
-      R.CanaryRequests = DCan.Requests;
-      R.CanaryServes = DCan.Serves;
-      R.CanaryErrors = DCan.Errors;
-      R.CanaryTraps = Traps;
-      R.ControlRequests = DCtl.Requests;
-      R.ControlServes = DCtl.Serves;
-      R.ControlErrors = DCtl.Errors;
-      R.CanaryErrorRate = CanRate;
-      R.ControlErrorRate = CtlRate;
-    });
+    setRecord(RecIdx,
+              [&](RolloutRecord &R) { FillVerdict(R, "promoted"); });
     DSU_LOG_INFO("rollout of tx %llu promoted after %.1fms",
                  static_cast<unsigned long long>(Tx->id()), DetectMs);
     Finish();
@@ -405,18 +410,8 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
   auto TripAt = std::chrono::steady_clock::now();
   auto DoRevert = [&]() -> Error {
     Error E = revertProvides(ReplacedNames);
-    if (!Gated.empty()) {
-      struct ResolveCtx {
-        std::vector<RollEntry *> *Entries;
-      } Ctx{&Gated};
-      epoch::domain().advanceWith(
-          [](uint64_t Ep, void *Raw) {
-            auto *C = static_cast<ResolveCtx *>(Raw);
-            for (RollEntry *R : *C->Entries)
-              R->PromoteEpoch.store(Ep, std::memory_order_release);
-          },
-          &Ctx);
-    }
+    if (!Gated.empty())
+      resolveGates(Gated);
     return E;
   };
   trace::Span RevertSp("rollout", "revert", ReplacedNames.size());
@@ -430,20 +425,9 @@ void RolloutController::runOne(std::shared_ptr<UpdateTransaction> Tx,
     Reason += "; rollback error: " + RevertErr.str();
   RT.annotateRollout(Tx, "rolled-back", Reason);
   setRecord(RecIdx, [&](RolloutRecord &R) {
-    R.State = "rolled-back";
-    R.Verdict = "rolled-back";
+    FillVerdict(R, "rolled-back");
     R.Reason = Reason;
-    R.DetectMs = DetectMs;
     R.RevertMs = RevertMs;
-    R.CanaryRequests = DCan.Requests;
-    R.CanaryServes = DCan.Serves;
-    R.CanaryErrors = DCan.Errors;
-    R.CanaryTraps = Traps;
-    R.ControlRequests = DCtl.Requests;
-    R.ControlServes = DCtl.Serves;
-    R.ControlErrors = DCtl.Errors;
-    R.CanaryErrorRate = CanRate;
-    R.ControlErrorRate = CtlRate;
   });
   DSU_LOG_INFO("rollout of tx %llu rolled back: %s (detected %.1fms, "
                "reverted %.1fms)",

@@ -120,17 +120,8 @@ void UpdateController::workerMain() {
     // The staging watchdog also covers backlog time: a job whose
     // deadline passed while it queued behind a slow patch is timed out
     // here rather than staged pointlessly.
-    if (J.Tx->StageDeadline.time_since_epoch().count() != 0 &&
-        std::chrono::steady_clock::now() > J.Tx->StageDeadline) {
-      UpdatePhase Expect = UpdatePhase::Staging;
-      if (J.Tx->Phase.compare_exchange_strong(Expect, UpdatePhase::TimedOut,
-                                              std::memory_order_acq_rel)) {
-        Error E = Error::make(
-            ErrorCode::EC_Timeout,
-            "tx %llu timed out in the staging backlog before work began",
-            static_cast<unsigned long long>(J.Tx->id()));
-        RT.finalize(*J.Tx, UpdatePhase::TimedOut, &E);
-      }
+    if (J.Tx->stagingOverdue()) {
+      (void)RT.timeOutStaging(*J.Tx, "the staging backlog", 0);
       std::lock_guard<std::mutex> G(Lock);
       --InFlight;
       IdleCV.notify_all();

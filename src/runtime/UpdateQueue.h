@@ -41,18 +41,21 @@ public:
   /// queue unchanged) when \p Tx was already enqueued once.
   bool enqueue(std::shared_ptr<UpdateTransaction> Tx);
 
-  /// Pops and returns the front transaction if it is actionable —
-  /// ready to commit, or already terminal (failed, aborted, or
-  /// committed directly through its handle) and awaiting collection;
-  /// nullptr otherwise.  The FIFO guarantee lives here: a staging (or
-  /// mid-commit) front blocks everything behind it.
-  std::shared_ptr<UpdateTransaction> popActionable();
+  /// Whether \p Tx may leave the front at an update point: ready to
+  /// commit, or already terminal (failed, aborted, or committed directly
+  /// through its handle) and awaiting collection.  A staging (or
+  /// mid-commit) transaction is not.
+  static bool actionable(const UpdateTransaction &Tx) {
+    UpdatePhase P = Tx.phase();
+    return P != UpdatePhase::Staging && P != UpdatePhase::Committing;
+  }
 
-  /// popActionable() gated by an extra predicate, evaluated on the front
-  /// transaction under the queue lock: pops only when the front is both
-  /// actionable and accepted by \p Accept.  The rolling-commit path uses
-  /// it to take code-only (or terminal) fronts while leaving a
-  /// state-migrating front in place for the barrier.
+  /// Pops and returns the front transaction if it is actionable and
+  /// accepted by \p Accept (evaluated under the queue lock); nullptr
+  /// otherwise.  The FIFO guarantee lives here: a front that is not
+  /// taken blocks everything behind it.  A lone worker's update point
+  /// uses \p Accept to take code-only (or terminal) fronts while leaving
+  /// a state-migrating front in place for the barrier.
   std::shared_ptr<UpdateTransaction>
   popActionableIf(bool (*Accept)(const UpdateTransaction &));
 
@@ -76,10 +79,6 @@ public:
   std::vector<std::shared_ptr<UpdateTransaction>> snapshot() const;
 
 private:
-  static bool actionable(const UpdateTransaction &Tx) {
-    UpdatePhase P = Tx.phase();
-    return P != UpdatePhase::Staging && P != UpdatePhase::Committing;
-  }
   void refreshLocked();
 
   std::atomic<bool> Pending{false};

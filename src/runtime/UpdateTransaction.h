@@ -158,11 +158,25 @@ private:
   /// controller checks it while the job queues.
   std::chrono::steady_clock::time_point StageDeadline{};
 
+  /// True once the staging watchdog deadline (if any) has passed.
+  bool stagingOverdue() const {
+    return StageDeadline.time_since_epoch().count() != 0 &&
+           std::chrono::steady_clock::now() > StageDeadline;
+  }
+
   /// Staging-time classification: true when the patch migrates no state,
   /// bumps no types and ships no transformers — the cheap common case
   /// the paper identifies, committable as a rolling (barrier-free)
   /// update.  Commit-time revalidation may demote it to false.
   std::atomic<bool> CodeOnly{false};
+
+  /// The one rolling-or-barrier rule: a ready transaction that is not
+  /// code-only commits only with every worker parked; a code-only one,
+  /// or a terminal one awaiting collection, needs nobody to park.
+  bool needsBarrier() const {
+    return phase() == UpdatePhase::Ready &&
+           !CodeOnly.load(std::memory_order_acquire);
+  }
 
   /// When staging completed (phase turned Ready); start of the
   /// stage->commit latency interval.
@@ -170,8 +184,9 @@ private:
 
   /// Sequence number of this transaction's durable-journal Intent, or 0
   /// when the update is not journaled.  Set before the transaction
-  /// enters the staging pipeline (by the controller worker or
-  /// Runtime::stageJournaled), read by Runtime::finalize to seal the
+  /// enters the staging pipeline (by the controller worker, or by
+  /// Runtime::stage for boot-time replay), read by Runtime::finalize to
+  /// seal the
   /// Intent with the terminal outcome.
   uint64_t JournalSeq = 0;
 
@@ -184,6 +199,13 @@ private:
   std::vector<VersionBump> Bumps;         ///< union with the plan's bumps
   StagedStateSwap Swap;
   uint64_t PreparedAtGeneration = 0; ///< runtime commit generation observed
+
+  /// Whether the staged artifacts are a pure code swap: no version
+  /// bumps, no state swap, no shipped transformers.  Staging sets
+  /// CodeOnly from it; commit-time revalidation re-asks it.
+  bool planIsCodeOnly() const {
+    return Bumps.empty() && Swap.empty() && P.Transformers.empty();
+  }
 
   mutable std::mutex RecLock; ///< guards Rec (read from other threads)
   UpdateRecord Rec;

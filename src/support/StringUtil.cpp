@@ -123,3 +123,30 @@ bool dsu::unescapeString(std::string_view S, std::string &Out) {
   }
   return true;
 }
+
+void dsu::jsonEscapeTo(std::string &Out, std::string_view S) {
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20)
+        Out += formatString("\\u%04x", C);
+      else
+        Out += C;
+    }
+  }
+}

@@ -231,20 +231,6 @@ void dsu::trace::notePhase(Phase P, uint64_t Us) {
 
 namespace {
 
-void jsonEscapeTo(std::string &Out, const char *S) {
-  for (; S && *S; ++S) {
-    char C = *S;
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      Out += formatString("\\u%04x", C);
-    } else {
-      Out += C;
-    }
-  }
-}
-
 struct SpanNode {
   const EventCopy *E;
   uint64_t EndUs; ///< StartUs + DurUs (synthesized for Begin/End pairs)

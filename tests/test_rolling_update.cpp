@@ -19,6 +19,7 @@
 #include "patch/PatchBuilder.h"
 #include "patch/PatchLoader.h"
 #include "runtime/UpdateController.h"
+#include "trace/Trace.h"
 #ifndef DSU_VTAL_NO_NATIVE
 #include "epoch/Epoch.h"
 #include "vtal/native/NativeImage.h"
@@ -237,6 +238,53 @@ TEST_F(RollingPoolTest, MixedQueueRollsThenBarriers) {
   ASSERT_GE(Log.size(), 2u);
   EXPECT_EQ(Log[Log.size() - 2].CommitMode, "rolling");
   EXPECT_EQ(Log[Log.size() - 1].CommitMode, "barrier");
+}
+
+/// The update point a lone pool worker calls, driven by hand: the
+/// code-only front rolls, and the migrating transaction behind it stays
+/// queued and is reported as needing the barrier — in the same call —
+/// until an update point with global quiescence commits it.
+TEST(WorkerUpdatePointTest, RollsCodeOnlyThenReportsTheBarrier) {
+  Runtime RT;
+  Expected<Updateable<int64_t(int64_t)>> First =
+      RT.defineUpdateable("pair.first", &retOne);
+  ASSERT_TRUE(First);
+  ASSERT_TRUE(RT.defineUpdateable("pair.second", &retOne));
+  ASSERT_FALSE(RT.defineNamedType(VersionedName{"wcell", 1},
+                                  RT.types().intType()));
+  Expected<StateCell *> Cell =
+      RT.defineState("w.cell", RT.types().namedType("wcell", 1),
+                     std::make_shared<int64_t>(1));
+  ASSERT_TRUE(Cell);
+
+  Expected<Patch> Code = makePairPatch(RT, 2);
+  Expected<Patch> Mig = makeMigratingPatch(RT, "wcell", 1);
+  ASSERT_TRUE(Code);
+  ASSERT_TRUE(Mig);
+  RT.requestUpdate(std::move(*Code));
+  RT.requestUpdate(std::move(*Mig));
+  EXPECT_STREQ(RT.pendingCommitName(), "rolling");
+
+  bool NeedsBarrier = false;
+  EXPECT_EQ(RT.updatePoint(Runtime::Quiescence::Worker, &NeedsBarrier), 1u);
+  EXPECT_TRUE(NeedsBarrier);
+  EXPECT_EQ(RT.rollingCommits(), 1u);
+  EXPECT_EQ((*First)(0), 2);
+  EXPECT_STREQ(RT.pendingCommitName(), "barrier");
+
+  // Asked again, a worker commits nothing and only reports.
+  NeedsBarrier = false;
+  EXPECT_EQ(RT.updatePoint(Runtime::Quiescence::Worker, &NeedsBarrier), 0u);
+  EXPECT_TRUE(NeedsBarrier);
+  EXPECT_EQ(RT.queueDepth(), 1u);
+
+  EXPECT_EQ(RT.updatePoint(), 1u);
+  EXPECT_STREQ(RT.pendingCommitName(), "none");
+  std::vector<UpdateRecord> Log = RT.updateLog();
+  ASSERT_EQ(Log.size(), 2u);
+  EXPECT_EQ(Log[0].CommitMode, "rolling");
+  EXPECT_EQ(Log[1].CommitMode, "barrier");
+  EXPECT_EQ((*Cell)->type()->str(), "%wcell@2");
 }
 
 /// A code-only VTAL patch whose functions the native tier compiles at
@@ -468,7 +516,7 @@ TEST(RollingLatencyTest, CommitLandsWithinOnePollTimeoutOfStaging) {
   EXPECT_LE(Rec.StageToCommitUs,
             static_cast<uint64_t>(O.PollTimeoutMs) * 1000)
       << "commit missed the one-poll-timeout SLO on an idle pool";
-  EXPECT_GE(RT.stageToCommitLatency().Count.load(), 1u);
+  EXPECT_GE(trace::phaseHistogram(trace::Phase::QueueWait).Count.load(), 1u);
   Pool.stop();
 }
 

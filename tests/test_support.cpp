@@ -146,6 +146,15 @@ TEST(StringUtilTest, UnescapeRejectsBadEscape) {
   EXPECT_FALSE(unescapeString("a\\", Out));
 }
 
+TEST(StringUtilTest, JsonEscapeQuotesBackslashAndControls) {
+  std::string Out = "x";
+  jsonEscapeTo(Out, std::string_view("a\"b\\c\nd\x01" "e\tf", 11));
+  EXPECT_EQ(Out, "xa\\\"b\\\\c\\nd\\u0001e\\tf");
+  Out.clear();
+  jsonEscapeTo(Out, std::string_view("\0", 1));
+  EXPECT_EQ(Out, "\\u0000");
+}
+
 // --- Hashing -----------------------------------------------------------
 
 TEST(HashingTest, Deterministic) {

@@ -244,8 +244,10 @@ TEST_F(PipelineTest, TransformerValidationInBuilder) {
 }
 
 TEST_F(PipelineTest, RequestUpdateFromMissingFileFails) {
-  EXPECT_TRUE(RT.requestUpdateFromFile("/nonexistent/patch.so"));
-  EXPECT_TRUE(RT.requestUpdateFromFile("/nonexistent/patch.dsup"));
+  EXPECT_FALSE(
+      loadPatchFile(RT.types(), RT.exports(), "/nonexistent/patch.so"));
+  EXPECT_FALSE(
+      loadPatchFile(RT.types(), RT.exports(), "/nonexistent/patch.dsup"));
 }
 
 // --- The transactional surface -------------------------------------------

@@ -52,30 +52,6 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-void jsonEscapeTo(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-}
-
 /// Where a finding anchors, e.g. " handle:pc2" — empty for patch-level.
 std::string anchor(const analysis::Finding &F) {
   if (F.Fn.empty())
